@@ -7,17 +7,26 @@ through four nested mechanisms, each level partitioning its parent exactly:
    (handles kernels with non-uniform cost per iteration);
 2. tiles, anchored on an absolute grid of the tile size so interior cut
    points stay cache/vector aligned;
-3. fine-thread slices within a tile, statically assigned round-robin;
+3. fine-thread slices within a tile: for each block its coarse worker runs
+   a group of fine workers, and fine worker f runs slices f::n_fine of every
+   tile in the block, with no wait between tiles;
 4. lane-aligned inner runs via vlanes.iterate_masked inside the kernel.
+
+A plan holds only the space and the parameters and cuts each level when it
+is asked for.  The calling thread is the first worker of every group, so a
+run with one coarse and one fine worker starts no thread at all.
 
 Interior cut points along the innermost dimension are multiples of the lane
 width, so masked partial stores are only ever needed at the boundary of the
 whole space.  Kernels receive one fine slice at a time and must write only
-within it; the engine times each whole execution (including dispatch, since
-that is what tuning can improve) and feeds the measurement to the tuner.
+within it, so pieces run in any order and on any worker give the same
+result.  The engine times each whole execution (including plan build and
+dispatch, since that is what tuning can improve) and feeds the measurement
+to the tuner.
 """
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -50,10 +59,7 @@ class IndexSpace:
         return tuple(h - l for l, h in zip(self.lo, self.hi))
 
     def volume(self) -> int:
-        n = 1
-        for e in self.extents:
-            n *= e
-        return n
+        return math.prod(self.extents)
 
 
 def index_space_from_bbox(b: BBox) -> IndexSpace:
@@ -72,27 +78,34 @@ def index_space_to_bbox(s: IndexSpace) -> BBox:
 
 
 @dataclass(frozen=True)
-class Tile:
-    space: IndexSpace
-    slices: tuple[IndexSpace, ...]
-
-
-@dataclass(frozen=True)
-class Block:
-    space: IndexSpace
-    tiles: tuple[Tile, ...]
-
-
-@dataclass(frozen=True)
 class SplitPlan:
+    """The nested decomposition of a space, cut one level at a time on demand."""
+
     space: IndexSpace
     params: ExecParams
-    blocks: tuple[Block, ...]
+
+    def blocks(self) -> list[IndexSpace]:
+        return self._even(self.space, self.params.coarse_split)
+
+    def tiles(self, block: IndexSpace) -> list[IndexSpace]:
+        return _split_space(block, [
+            _grid_cuts(a, b, max(1, t)) for a, b, t in zip(block.lo, block.hi, self.params.tile_size)
+        ])
+
+    def slices(self, tile: IndexSpace) -> list[IndexSpace]:
+        return self._even(tile, self.params.fine_split)
+
+    def _even(self, space: IndexSpace, split: tuple[int, ...]) -> list[IndexSpace]:
+        """Even chunks, interior innermost cuts on multiples of the vector width."""
+        units = [self.params.vector_width] + [1] * (space.dim - 1)
+        return _split_space(space, [
+            _even_cuts(a, b, n, u) for a, b, n, u in zip(space.lo, space.hi, split, units)
+        ])
 
     def pieces(self):
-        for block in self.blocks:
-            for tile in block.tiles:
-                yield from tile.slices
+        for block in self.blocks():
+            for tile in self.tiles(block):
+                yield from self.slices(tile)
 
 
 def _even_cuts(a: int, b: int, n: int, unit: int) -> list[int]:
@@ -129,104 +142,83 @@ def _split_space(space: IndexSpace, cuts_per_dim: list[list[int]]) -> list[Index
 
 def build_plan(space: IndexSpace, p: ExecParams) -> SplitPlan:
     """Deterministic nested decomposition; impossible splits degrade to fewer pieces."""
-    d = space.dim
-    if len(p.tile_size) != d:
+    if any(len(v) != space.dim for v in (p.coarse_split, p.tile_size, p.fine_split)):
         raise UsageError("params dimension disagrees with index space")
-    w = p.vector_width
-    units = [w] + [1] * (d - 1)
-
-    block_cuts = [
-        _even_cuts(space.lo[i], space.hi[i], p.coarse_split[i], units[i])
-        for i in range(d)
-    ]
-    blocks = []
-    for bspace in _split_space(space, block_cuts):
-        tile_cuts = [
-            _grid_cuts(bspace.lo[i], bspace.hi[i], max(1, p.tile_size[i]))
-            for i in range(d)
-        ]
-        tiles = []
-        for tspace in _split_space(bspace, tile_cuts):
-            slice_cuts = [
-                _even_cuts(tspace.lo[i], tspace.hi[i], p.fine_split[i], units[i])
-                for i in range(d)
-            ]
-            tiles.append(Tile(tspace, tuple(_split_space(tspace, slice_cuts))))
-        blocks.append(Block(bspace, tuple(tiles)))
-    return SplitPlan(space, p, tuple(blocks))
+    return SplitPlan(space, p)
 
 
 Kernel = Callable[[IndexSpace], None]
 
 
-def execute_plan(plan: SplitPlan, kernel: Kernel, n_coarse: int, n_fine: int) -> None:
-    """Run the kernel over every piece: blocks pulled dynamically, fine slices
-    within a tile statically assigned to the fine workers."""
-    if n_coarse <= 1 and n_fine <= 1:
-        for piece in plan.pieces():
-            kernel(piece)
-        return
-
-    work: queue.SimpleQueue = queue.SimpleQueue()
-    for block in plan.blocks:
-        work.put(block)
+def _run_group(n: int, work: Callable[[int], None]) -> None:
+    """Run work(0..n-1) concurrently, work(0) on the calling thread; re-raise
+    the first error once every member has finished."""
     errors: list[BaseException] = []
 
-    def run_tile(tile: Tile) -> None:
-        if n_fine <= 1:
-            for piece in tile.slices:
-                kernel(piece)
-            return
-        threads = []
-        for f in range(n_fine):
-            assigned = tile.slices[f::n_fine]
-            if not assigned:
-                continue
-            t = threading.Thread(target=_run_pieces, args=(assigned, kernel, errors))
-            threads.append(t)
-            t.start()
-        for t in threads:
-            t.join()
+    def member(k: int) -> None:
+        try:
+            work(k)
+        except BaseException as exc:  # re-raised below, after the group joins
+            errors.append(exc)
 
-    def coarse_worker() -> None:
-        while not errors:
+    started = []
+    try:
+        for k in range(1, n):
+            t = threading.Thread(target=member, args=(k,))
+            t.start()
+            started.append(t)
+        member(0)
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
+def execute_plan(plan: SplitPlan, kernel: Kernel, n_coarse: int, n_fine: int) -> None:
+    """Run the kernel over every piece: coarse workers pull blocks from a
+    queue; within a block, fine worker f runs slices f::n_fine of every tile."""
+    n_fine = max(1, n_fine)
+    work: queue.SimpleQueue = queue.SimpleQueue()
+    for block in plan.blocks():
+        work.put(block)
+    failed = False
+
+    def run_block(block: IndexSpace) -> None:
+        tiles = [plan.slices(tile) for tile in plan.tiles(block)]
+
+        def fine_worker(f: int) -> None:
+            for slices in tiles:
+                for piece in slices[f::n_fine]:
+                    kernel(piece)
+
+        _run_group(n_fine, fine_worker)
+
+    def coarse_worker(_: int) -> None:
+        nonlocal failed
+        while not failed:
             try:
                 block = work.get_nowait()
             except queue.Empty:
                 return
             try:
-                for tile in block.tiles:
-                    run_tile(tile)
-            except BaseException as exc:  # propagate after the pool quiesces
-                errors.append(exc)
+                run_block(block)
+            except BaseException:  # stop every coarse worker pulling blocks
+                failed = True
+                raise
 
-    workers = [threading.Thread(target=coarse_worker) for _ in range(max(1, n_coarse))]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join()
-    if errors:
-        raise errors[0]
-
-
-def _run_pieces(pieces, kernel, errors) -> None:
-    try:
-        for piece in pieces:
-            kernel(piece)
-    except BaseException as exc:
-        errors.append(exc)
+    _run_group(max(1, n_coarse), coarse_worker)
 
 
 def run_loop(setup: LoopSetup, space: IndexSpace, kernel: Kernel, tuner: Tuner) -> float:
     """One tuned execution: ask for params, split, run, time, record.
 
-    Returns the elapsed wall-clock seconds.  A failing kernel propagates after
-    the pool quiesces and its timing is discarded.
+    Returns the elapsed wall-clock seconds, plan build included.  A failing
+    kernel propagates after the pool quiesces and its timing is discarded.
     """
     params = tuner.next_params(setup)
-    plan = build_plan(space, params)
     start = time.perf_counter()
-    execute_plan(plan, kernel, setup.n_coarse_threads, setup.n_fine_threads)
+    execute_plan(build_plan(space, params), kernel, setup.n_coarse_threads, setup.n_fine_threads)
     elapsed = time.perf_counter() - start
     tuner.record_timing(setup, params, elapsed)
     return elapsed
@@ -235,26 +227,14 @@ def run_loop(setup: LoopSetup, space: IndexSpace, kernel: Kernel, tuner: Tuner) 
 def run_static(space: IndexSpace, kernel: Kernel, n_threads: int) -> float:
     """Naive baseline: one even chunk of the outermost dimension per thread,
     no tiling, no tuning.  Returns elapsed seconds."""
+    n = max(1, n_threads)
     d = space.dim
-    cuts = _even_cuts(space.lo[d - 1], space.hi[d - 1], max(1, n_threads), 1)
-    chunks = [
-        IndexSpace(space.lo[:d - 1] + (cuts[k],), space.hi[:d - 1] + (cuts[k + 1],))
-        for k in range(len(cuts) - 1)
-    ]
+    params = ExecParams(
+        coarse_split=(1,) * (d - 1) + (n,),
+        tile_size=tuple(max(1, h) for h in space.hi),  # no tile cut in a nonnegative space
+        fine_split=(1,) * d,
+        vector_width=1,
+    )
     start = time.perf_counter()
-    if n_threads <= 1:
-        for c in chunks:
-            kernel(c)
-    else:
-        errors: list[BaseException] = []
-        threads = [
-            threading.Thread(target=_run_pieces, args=([c], kernel, errors))
-            for c in chunks
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
+    execute_plan(build_plan(space, params), kernel, n, 1)
     return time.perf_counter() - start

@@ -19,6 +19,7 @@ vectors (extents, tiles, splits) are ordered innermost dimension first.
 """
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from collections import deque
@@ -26,9 +27,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .lattice import UsageError
-from .vlanes import default_lane_width
+from .vlanes import _check_width, default_lane_width
 
 MEDIAN_WINDOW = 5
+MAX_THREADS = 64  # coarse x fine threads of one loop
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,27 @@ class TopologyConfig:
                  "n_fine_threads", "lane_width", "rng_seed")
     _FLOAT_KEYS = ("p_restart", "abort_factor")
 
+    def __post_init__(self) -> None:
+        if self.n_coarse_threads < 1 or self.n_fine_threads < 1:
+            raise UsageError("thread counts must be at least 1")
+        if self.n_coarse_threads * self.n_fine_threads > MAX_THREADS:
+            raise UsageError(f"coarse x fine threads must not exceed {MAX_THREADS}")
+        _check_width(self.lane_width)
+        if not 0 <= self.p_restart <= 1:
+            raise UsageError(f"p_restart must lie in [0, 1]: {self.p_restart}")
+        if not self.abort_factor > 1:
+            raise UsageError(f"abort_factor must exceed 1: {self.abort_factor}")
+        if self.cache_size_bytes < 1 or self.cache_line_bytes < 1:
+            raise UsageError("cache sizes must be positive")
+
     @staticmethod
     def from_file(path: str | Path) -> "TopologyConfig":
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise UsageError(f"cannot read topology file: {exc}") from exc
         values = {}
-        for raw in Path(path).read_text().splitlines():
+        for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -63,11 +82,15 @@ class TopologyConfig:
                 raise UsageError(f"malformed topology line: {raw!r}")
             key, val = (part.strip() for part in line.split("=", 1))
             if key in TopologyConfig._INT_KEYS:
-                values[key] = int(val)
+                parse = int
             elif key in TopologyConfig._FLOAT_KEYS:
-                values[key] = float(val)
+                parse = float
             else:
                 raise UsageError(f"unknown topology key: {key}")
+            try:
+                values[key] = parse(val)
+            except ValueError:
+                raise UsageError(f"malformed value for {key}: {val!r}") from None
         return TopologyConfig(**values)
 
     @property
@@ -117,14 +140,8 @@ def _inner_unit(setup: LoopSetup, topo: TopologyConfig) -> int:
     w = topo.lane_width
     if setup.alignment == "cache_line":
         line = topo.cache_line_elems
-        return line * w // _gcd(line, w)
+        return line * w // math.gcd(line, w)
     return w
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def check_params(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> None:
@@ -132,9 +149,9 @@ def check_params(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> None:
     d = setup.dim
     if len(p.coarse_split) != d or len(p.tile_size) != d or len(p.fine_split) != d:
         raise UsageError("parameter vectors disagree with setup dimension")
-    if _prod(p.coarse_split) != setup.n_coarse_threads:
+    if math.prod(p.coarse_split) != setup.n_coarse_threads:
         raise UsageError(f"coarse split {p.coarse_split} does not use {setup.n_coarse_threads} threads")
-    if _prod(p.fine_split) != setup.n_fine_threads:
+    if math.prod(p.fine_split) != setup.n_fine_threads:
         raise UsageError(f"fine split {p.fine_split} does not use {setup.n_fine_threads} threads")
     if p.vector_width != topo.lane_width:
         raise UsageError(f"vector width {p.vector_width} != configured {topo.lane_width}")
@@ -145,13 +162,6 @@ def check_params(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> None:
     t0, e0 = p.tile_size[0], setup.extents[0]
     if t0 % unit != 0 and t0 != e0:
         raise UsageError(f"innermost tile {t0} neither multiple of {unit} nor whole extent {e0}")
-
-
-def _prod(xs) -> int:
-    n = 1
-    for x in xs:
-        n *= x
-    return n
 
 
 def _factorizations(n: int, d: int) -> list[tuple[int, ...]]:
@@ -237,7 +247,7 @@ def params_initial(setup: LoopSetup, topo: TopologyConfig) -> ExecParams:
     tile = list(block)
     tile[0] = _round_inner(block[0], ext[0], unit, 2 * w)
     target = max(1, topo.cache_size_bytes // 16)  # half the cache, in doubles
-    while _prod(tile) > target:
+    while math.prod(tile) > target:
         # halve the largest outer dimension first; the inner tile only as a last resort
         outer = [(tile[i], i) for i in range(1, d) if tile[i] > 1]
         if outer:

@@ -152,11 +152,11 @@ def test_criterion_7_plan_partition_and_result_independence():
         setup = LoopSetup("c7", ext, "vector", 4, 2)
         params = rng.choice(enumerate_valid_params(setup, topo))
         plan = build_plan(space, params)
-        _assert_partition(space, [b.space for b in plan.blocks])
-        for b in plan.blocks:
-            _assert_partition(b.space, [t.space for t in b.tiles])
-            for t in b.tiles:
-                _assert_partition(t.space, list(t.slices))
+        _assert_partition(space, plan.blocks())
+        for b in plan.blocks():
+            _assert_partition(b, plan.tiles(b))
+            for t in plan.tiles(b):
+                _assert_partition(t, plan.slices(t))
 
     # result independence on a fixed 3-point stencil
     n, w = 301, 4

@@ -31,6 +31,22 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--threads", "0"],
+        ["--threads", "65"],
+        ["--threads", "8", "--fine-threads", "16"],
+        ["--fine-threads", "0"],
+        ["--lane-width", "3"],
+    ])
+    def test_bad_topology_flags_exit_2(self, flags, capsys):
+        # rejected while the topology is built, before any stencil runs
+        assert main(["stencil-bench", "--extent", "8", "--iters", "1"] + flags) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_missing_topology_file_exits_2(self, tmp_path, capsys):
+        assert main(["tune-sim", "--seeds", "1", "--topology", str(tmp_path / "absent.cfg")]) == 2
+        assert "topology" in capsys.readouterr().err
+
 
 class TestSetopsBench:
     def test_csv_schema_and_slope_output(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 
 import pytest
 
@@ -38,18 +39,18 @@ def assert_partition(parent, children):
 
 
 def assert_plan_partitions(plan):
-    assert_partition(plan.space, [b.space for b in plan.blocks])
-    for b in plan.blocks:
-        assert_partition(b.space, [t.space for t in b.tiles])
-        for t in b.tiles:
-            assert_partition(t.space, list(t.slices))
+    assert_partition(plan.space, plan.blocks())
+    for b in plan.blocks():
+        assert_partition(b, plan.tiles(b))
+        for t in plan.tiles(b):
+            assert_partition(t, plan.slices(t))
 
 
 class TestBuildPlan:
     def test_16x16_example(self):
         space = IndexSpace((0, 0), (16, 16))
         plan = build_plan(space, ExecParams((2, 1), (8, 8), (1, 1), 4))
-        assert len(plan.blocks) == 2
+        assert len(plan.blocks()) == 2
         assert_plan_partitions(plan)
         starts = set()
         for piece in plan.pieces():
@@ -67,12 +68,22 @@ class TestBuildPlan:
         space = IndexSpace((0,), (3,))
         plan = build_plan(space, ExecParams((8,), (3,), (1,), 4))
         assert_plan_partitions(plan)
-        assert 1 <= len(plan.blocks) <= 3
+        assert 1 <= len(plan.blocks()) <= 3
+
+    @pytest.mark.parametrize("params", [
+        ExecParams((1,), (4, 4), (1, 1), 4),
+        ExecParams((1, 1), (4,), (1, 1), 4),
+        ExecParams((1, 1), (4, 4), (1,), 4),
+    ])
+    def test_dimension_mismatch_rejected(self, params):
+        with pytest.raises(UsageError):
+            build_plan(IndexSpace((0, 0), (8, 8)), params)
 
     def test_deterministic(self):
         space = IndexSpace((0, 0, 0), (20, 20, 20))
         p = ExecParams((1, 2, 2), (8, 8, 8), (1, 1, 1), 4)
         assert build_plan(space, p) == build_plan(space, p)
+        assert list(build_plan(space, p).pieces()) == list(build_plan(space, p).pieces())
 
     def test_randomized_partition_exactness(self, rng):
         topo = TopologyConfig(n_coarse_threads=4, n_fine_threads=2, lane_width=4)
@@ -231,6 +242,47 @@ class TestRunLoop:
                 assert got == reference
 
 
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Threads started while the test runs, counted through Thread.start."""
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+class TestExecuteThreads:
+    # 2 blocks of 2 x 2 tiles, each tile cut into 2 fine slices along dim 1
+    SPACE = IndexSpace((0, 0), (32, 16))
+    PARAMS = ExecParams((2, 1), (8, 8), (1, 2), 4)
+
+    @pytest.mark.parametrize("n_coarse, n_fine, expected", [(1, 1, 0), (1, 2, 2), (2, 1, 1)])
+    def test_thread_starts_per_run(self, thread_starts, n_coarse, n_fine, expected):
+        plan = build_plan(self.SPACE, self.PARAMS)
+        assert len(plan.blocks()) == 2
+        executed = []
+        execute_plan(plan, executed.append, n_coarse, n_fine)
+        assert len(thread_starts) == expected
+        assert_partition(self.SPACE, executed)
+
+    @pytest.mark.parametrize("failing_on_main", [False, True])
+    def test_fine_worker_error_propagates_and_no_thread_left(self, failing_on_main):
+        before = set(threading.enumerate())
+
+        def bad(piece):
+            if (threading.current_thread() is threading.main_thread()) == failing_on_main:
+                raise ValueError("fine boom")
+
+        with pytest.raises(ValueError, match="fine boom"):
+            execute_plan(build_plan(self.SPACE, self.PARAMS), bad, 1, 2)
+        assert set(threading.enumerate()) == before
+
+
 class TestRunStatic:
     def test_even_split_correct(self):
         n = 100
@@ -242,3 +294,15 @@ class TestRunStatic:
 
         run_static(IndexSpace((0,), (n,)), kern, 4)
         assert out == list(range(n))
+
+    def test_negative_lo_covers_every_point_once(self):
+        space = IndexSpace((-5, -3, -7), (4, 6, 2))
+        executed = []
+        run_static(space, executed.append, 3)
+        assert_partition(space, executed)
+
+    def test_one_thread_starts_none(self, thread_starts):
+        executed = []
+        run_static(IndexSpace((0, 0), (9, 9)), executed.append, 1)
+        assert thread_starts == []
+        assert executed == [IndexSpace((0, 0), (9, 9))]

@@ -42,6 +42,43 @@ class TestTopologyConfig:
         with pytest.raises(UsageError):
             TopologyConfig.from_file(cfg)
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(UsageError):
+            TopologyConfig.from_file(tmp_path / "absent.cfg")
+
+    @pytest.mark.parametrize("line", ["n_coarse_threads = two", "p_restart = often", "lane_width = 3"])
+    def test_bad_file_value_rejected(self, tmp_path, line):
+        cfg = tmp_path / "topo.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(UsageError):
+            TopologyConfig.from_file(cfg)
+
+    @pytest.mark.parametrize("bad", [
+        {"n_coarse_threads": 0},
+        {"n_fine_threads": 0},
+        {"n_coarse_threads": 65},
+        {"n_coarse_threads": 8, "n_fine_threads": 9},
+        {"lane_width": 3},
+        {"lane_width": 0},
+        {"lane_width": 32},
+        {"p_restart": -0.01},
+        {"p_restart": 1.01},
+        {"p_restart": float("nan")},
+        {"abort_factor": 1.0},
+        {"cache_size_bytes": 0},
+        {"cache_line_bytes": -64},
+    ])
+    def test_bad_values_rejected(self, bad):
+        with pytest.raises(UsageError):
+            TopologyConfig(**bad)
+
+    def test_limits_accepted(self):
+        # constructing a config starts no thread, so the thread cap is tested as a value
+        topo = TopologyConfig(n_coarse_threads=8, n_fine_threads=8, lane_width=16,
+                              p_restart=1.0, abort_factor=1.01, cache_size_bytes=1, cache_line_bytes=1)
+        assert topo.n_coarse_threads * topo.n_fine_threads == 64
+        assert TopologyConfig(n_coarse_threads=64, lane_width=1, p_restart=0.0).n_coarse_threads == 64
+
 
 class TestParamsInitial:
     def test_satisfies_invariants(self):
