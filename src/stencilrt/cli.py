@@ -10,6 +10,7 @@ import argparse
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from .oracle import DEFAULT_POINT_CAP, PointSet, oracle_from_bboxset
 from .stencil import bit_identical, run_naive, run_serial, run_tuned
 from .synthetic import run_simulation
 from .tuner import TopologyConfig
+
+DEFAULT_SEED = 20130715
 
 
 def random_box(rng: random.Random, dim: int, hull: tuple[int, ...],
@@ -183,11 +186,12 @@ def cmd_setops_bench(args) -> int:
 
 
 def cmd_stencil_bench(args) -> int:
-    topo = _topology(args)
+    topo = _topology(args, rng_seed=args.seed)
     n, iters = args.extent, args.iters
-    serial = run_serial(n, iters, args.seed)
-    naive = run_naive(n, iters, args.seed, topo.n_coarse_threads)
-    tuned, tuner = run_tuned(n, iters, args.seed, topo)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    serial = run_serial(n, iters, seed)
+    naive = run_naive(n, iters, seed, topo.n_coarse_threads)
+    tuned, tuner = run_tuned(n, iters, seed, topo)
 
     ok = bit_identical(serial.final, naive.final) and bit_identical(serial.final, tuned.final)
     rows = ["impl,iter,elapsed_ns,phase,is_best"]
@@ -226,61 +230,75 @@ def cmd_tune_sim(args) -> int:
     return 0
 
 
-def _topology(args) -> TopologyConfig:
+def _topology(args, **overrides) -> TopologyConfig:
+    """The topology file (or the defaults) with every value a flag gave."""
     topo = TopologyConfig.from_file(args.topology) if args.topology else TopologyConfig()
-    overrides = {}
-    if args.threads is not None:
-        overrides["n_coarse_threads"] = args.threads
-    if args.fine_threads is not None:
-        overrides["n_fine_threads"] = args.fine_threads
-    if args.lane_width is not None:
-        overrides["lane_width"] = args.lane_width
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
-        topo = replace(topo, **overrides)
-    return topo
+    given = dict(n_coarse_threads=args.threads, n_fine_threads=args.fine_threads,
+                 lane_width=args.lane_width, **overrides)
+    return replace(topo, **{k: v for k, v in given.items() if v is not None})
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}: {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
+
+
+def _config_flags(p: argparse.ArgumentParser, threads: int | None) -> None:
+    """The topology flags and the CSV output of the two tuned subcommands."""
+    p.add_argument("--threads", type=int, default=threads, help="coarse threads")
+    p.add_argument("--fine-threads", dest="fine_threads", type=int, default=None)
+    p.add_argument("--lane-width", dest="lane_width", type=int, default=None)
+    p.add_argument("--topology", type=str, default=None, help="topology file; flags override it")
+    p.add_argument("--out", type=str, default=None, help="CSV file")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stencilrt")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, extent_default, iters_default):
-        p.add_argument("--dims", type=int, default=3, choices=(1, 2, 3, 4))
-        p.add_argument("--seed", type=int, default=20130715)
-        p.add_argument("--boxes", type=int, default=20)
-        p.add_argument("--extent", type=int, default=extent_default)
-        p.add_argument("--iters", type=int, default=iters_default)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--fine-threads", dest="fine_threads", type=int, default=None)
-        p.add_argument("--lane-width", dest="lane_width", type=int, default=None)
-        p.add_argument("--topology", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-
-    p = sub.add_parser("setops-check", help="fuzz the set algebra against the point oracle")
-    common(p, extent_default=16, iters_default=1)
-    p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--point-cap", dest="point_cap", type=int, default=DEFAULT_POINT_CAP,
+    p = sub.add_parser("setops-check", allow_abbrev=False,
+                       help="fuzz the set algebra against the point oracle")
+    p.add_argument("--dims", type=int, default=3, choices=(1, 2, 3, 4))
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the first case")
+    p.add_argument("--boxes", type=_at_least(0), default=20, help="most boxes per operand")
+    p.add_argument("--extent", type=_at_least(4), default=16, help="largest hull extent")
+    p.add_argument("--cases", type=_at_least(1), default=200)
+    p.add_argument("--point-cap", dest="point_cap", type=_at_least(1), default=DEFAULT_POINT_CAP,
                    help="oracle point budget per operand")
     p.add_argument("--all-dims", action="store_true",
                    help="run every dimension from 1 up to --dims")
     p.set_defaults(fn=cmd_setops_check)
 
-    p = sub.add_parser("setops-bench", help="union scaling: derivative tree vs naive list")
-    common(p, extent_default=16, iters_default=1)
-    p.add_argument("--reps", type=int, default=5)
-    p.set_defaults(fn=cmd_setops_bench, boxes=4096, dims=2)
+    p = sub.add_parser("setops-bench", allow_abbrev=False,
+                       help="union scaling: derivative tree vs naive list")
+    p.add_argument("--dims", type=int, default=2, choices=(1, 2, 3, 4))
+    p.add_argument("--boxes", type=_at_least(128), default=4096,
+                   help="largest box count; counts double from 64 and the slope needs two")
+    p.add_argument("--reps", type=_at_least(1), default=5)
+    p.add_argument("--out", type=str, default=None, help="CSV file")
+    p.set_defaults(fn=cmd_setops_bench)
 
-    p = sub.add_parser("stencil-bench", help="tuned 3D Laplacian vs serial and static split")
-    common(p, extent_default=64, iters_default=100)
+    p = sub.add_parser("stencil-bench", allow_abbrev=False,
+                       help="tuned 3D Laplacian vs serial and static split")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"grid seed (default {DEFAULT_SEED}); if given, also the tuner's rng_seed")
+    p.add_argument("--extent", type=_at_least(3), default=64)
+    p.add_argument("--iters", type=_at_least(1), default=100)
+    _config_flags(p, threads=None)
     p.set_defaults(fn=cmd_stencil_bench)
 
-    p = sub.add_parser("tune-sim", help="tuner convergence on the synthetic cost surface")
-    common(p, extent_default=64, iters_default=50)
-    p.add_argument("--seeds", type=int, default=100)
-    p.set_defaults(fn=cmd_tune_sim, threads=4)
+    p = sub.add_parser("tune-sim", allow_abbrev=False,
+                       help="tuner convergence on the synthetic cost surface")
+    p.add_argument("--seeds", type=_at_least(1), default=100, help="tuner seeds 0..N-1, one run each")
+    p.add_argument("--iters", type=_at_least(1), default=50, help="evaluations per run")
+    _config_flags(p, threads=4)
+    p.set_defaults(fn=cmd_tune_sim)
 
     return parser
 

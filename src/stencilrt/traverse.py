@@ -26,6 +26,7 @@ to the tuner.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import queue
 import threading
@@ -88,7 +89,7 @@ class SplitPlan:
         return self._even(self.space, self.params.coarse_split)
 
     def tiles(self, block: IndexSpace) -> list[IndexSpace]:
-        return _split_space(block, [
+        return _split_space([
             _grid_cuts(a, b, max(1, t)) for a, b, t in zip(block.lo, block.hi, self.params.tile_size)
         ])
 
@@ -98,7 +99,7 @@ class SplitPlan:
     def _even(self, space: IndexSpace, split: tuple[int, ...]) -> list[IndexSpace]:
         """Even chunks, interior innermost cuts on multiples of the vector width."""
         units = [self.params.vector_width] + [1] * (space.dim - 1)
-        return _split_space(space, [
+        return _split_space([
             _even_cuts(a, b, n, u) for a, b, n, u in zip(space.lo, space.hi, split, units)
         ])
 
@@ -129,15 +130,12 @@ def _grid_cuts(a: int, b: int, t: int) -> list[int]:
     return cuts
 
 
-def _split_space(space: IndexSpace, cuts_per_dim: list[list[int]]) -> list[IndexSpace]:
-    pieces = [IndexSpace((), ())]
-    for cuts in reversed(cuts_per_dim):  # outermost dimension varies slowest
-        nxt = []
-        for piece in pieces:
-            for k in range(len(cuts) - 1):
-                nxt.append(IndexSpace((cuts[k],) + piece.lo, (cuts[k + 1],) + piece.hi))
-        pieces = nxt
-    return pieces
+def _split_space(cuts_per_dim: list[list[int]]) -> list[IndexSpace]:
+    """Every cell of the grid the cuts form, the outermost dimension varying slowest."""
+    outer_first = cuts_per_dim[::-1]
+    los = itertools.product(*(cuts[:-1] for cuts in outer_first))
+    his = itertools.product(*(cuts[1:] for cuts in outer_first))
+    return [IndexSpace(lo[::-1], hi[::-1]) for lo, hi in zip(los, his)]
 
 
 def build_plan(space: IndexSpace, p: ExecParams) -> SplitPlan:

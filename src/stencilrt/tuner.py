@@ -19,6 +19,7 @@ vectors (extents, tiles, splits) are ordered innermost dimension first.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import statistics
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .lattice import UsageError
-from .vlanes import _check_width, default_lane_width
+from .vlanes import _check_width
 
 MEDIAN_WINDOW = 5
 MAX_THREADS = 64  # coarse x fine threads of one loop
@@ -45,7 +46,7 @@ class TopologyConfig:
     cache_line_bytes: int = 64
     n_coarse_threads: int = 1
     n_fine_threads: int = 1
-    lane_width: int = field(default_factory=default_lane_width)
+    lane_width: int = 4
     p_restart: float = 0.05
     abort_factor: float = 1.5
     rng_seed: int = 12345
@@ -104,14 +105,14 @@ class LoopSetup:
 
     site_id: str
     extents: tuple[int, ...]
-    alignment: str = "vector"  # none | vector | cache_line
+    alignment: str = "vector"  # vector | cache_line
     n_coarse_threads: int = 1
     n_fine_threads: int = 1
 
     def __post_init__(self) -> None:
         if any(e <= 0 for e in self.extents):
             raise UsageError(f"extents must be positive: {self.extents}")
-        if self.alignment not in ("none", "vector", "cache_line"):
+        if self.alignment not in ("vector", "cache_line"):
             raise UsageError(f"unknown alignment class {self.alignment!r}")
 
     @property
@@ -200,23 +201,11 @@ def _split_domain(threads: int, setup: LoopSetup) -> list[tuple[int, ...]]:
 def enumerate_valid_params(setup: LoopSetup, topo: TopologyConfig) -> list[ExecParams]:
     """The full tunable space for a setup (used for random draws and for
     exhaustively locating the optimum of synthetic surfaces)."""
-    d = setup.dim
     coarse = _split_domain(setup.n_coarse_threads, setup)
     fine = _split_domain(setup.n_fine_threads, setup)
-    domains = [_tile_domain(setup, topo, axis) for axis in range(d)]
-    out = []
-
-    def rec(axis, tile):
-        if axis == d:
-            for c in coarse:
-                for f in fine:
-                    out.append(ExecParams(c, tuple(tile), f, topo.lane_width))
-            return
-        for t in domains[axis]:
-            rec(axis + 1, tile + [t])
-
-    rec(0, [])
-    return out
+    tiles = itertools.product(*(_tile_domain(setup, topo, axis) for axis in range(setup.dim)))
+    return [ExecParams(c, tile, f, topo.lane_width)
+            for tile, c, f in itertools.product(tiles, coarse, fine)]
 
 
 def random_params(setup: LoopSetup, topo: TopologyConfig, rng: random.Random) -> ExecParams:
@@ -241,7 +230,7 @@ def params_initial(setup: LoopSetup, topo: TopologyConfig) -> ExecParams:
     w = topo.lane_width
     unit = _inner_unit(setup, topo)
 
-    coarse = _greedy_split(setup.n_coarse_threads, ext, prefer_outer=True)
+    coarse = _greedy_split(setup.n_coarse_threads, ext)
     block = [max(1, -(-e // c)) for e, c in zip(ext, coarse)]
 
     tile = list(block)
@@ -259,7 +248,7 @@ def params_initial(setup: LoopSetup, topo: TopologyConfig) -> ExecParams:
             break
     tile[0] = _round_inner(tile[0], ext[0], unit, 2 * w)
 
-    fine = _greedy_split(setup.n_fine_threads, tuple(tile), prefer_outer=True)
+    fine = _greedy_split(setup.n_fine_threads, tuple(tile))
     return ExecParams(tuple(coarse), tuple(tile), tuple(fine), w)
 
 
@@ -274,14 +263,14 @@ def _round_inner(t: int, extent: int, unit: int, floor: int) -> int:
     return t
 
 
-def _greedy_split(threads: int, ext: tuple[int, ...], prefer_outer: bool) -> list[int]:
-    """Factor a thread count over dimensions, biggest remaining extent first."""
+def _greedy_split(threads: int, ext: tuple[int, ...]) -> list[int]:
+    """Factor a thread count over dimensions, biggest remaining extent first
+    (ties go to the outermost dimension)."""
     d = len(ext)
     split = [1] * d
     for f in _prime_factors(threads):
-        candidates = list(range(d - 1, 0, -1)) + [0] if (prefer_outer and d > 1) else list(range(d - 1, -1, -1))
         best_i, best_ratio = None, 0
-        for i in candidates:
+        for i in range(d - 1, -1, -1):
             ratio = ext[i] / (split[i] * f)
             if ratio >= 1 and ratio > best_ratio:
                 best_i, best_ratio = i, ratio
@@ -375,7 +364,6 @@ class _SetupState:
     samples: dict[ExecParams, deque] = field(default_factory=dict)
     warmed_up: bool = False
     last_elapsed: float | None = None
-    executions: int = 0
 
 
 class Tuner:
@@ -450,7 +438,6 @@ class Tuner:
         if setup not in self._states:
             raise UsageError("record_timing before next_params for this setup")
         st = self._states[setup]
-        st.executions += 1
         if not st.warmed_up:
             # the first execution of a setup pays warm-up costs; discard it
             st.warmed_up = True

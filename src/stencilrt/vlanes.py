@@ -15,7 +15,6 @@ to 1 ulp.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -26,15 +25,8 @@ from .lattice import UsageError
 
 MAX_WIDTH = 16
 
-# contract checks (alignment, bounds) can be disabled for speed
-CHECK_ALIGNMENT = os.environ.get("LANES_CHECK_ALIGNMENT", "1") != "0"
-
 # fused multiply-add: off by default so scalar-equivalence tests are bit-exact
 FUSED_FMA = False
-
-
-def default_lane_width() -> int:
-    return int(os.environ.get("LANE_WIDTH", "4"))
 
 
 def _check_width(w: int) -> int:
@@ -128,7 +120,7 @@ class AlignedArray:
 # -- memory access -----------------------------------------------------------
 
 def vload_aligned(a: AlignedArray, i: int) -> LaneVector:
-    if CHECK_ALIGNMENT and i % a.width != 0:
+    if i % a.width != 0:
         raise UsageError(f"aligned load at index {i} not a multiple of W={a.width}")
     return LaneVector(tuple(a[i + l] for l in range(a.width)))
 
@@ -138,7 +130,7 @@ def vload_off(k: int, a: AlignedArray, j: int) -> LaneVector:
 
     Semantically an unaligned load; the offset is a performance hint only.
     """
-    if CHECK_ALIGNMENT and (j - k) % a.width != 0:
+    if (j - k) % a.width != 0:
         raise UsageError(f"offset load: base {j}-{k} not a multiple of W={a.width}")
     return LaneVector(tuple(a[j + l] for l in range(a.width)))
 
@@ -149,7 +141,7 @@ def vloadu(a: AlignedArray, j: int) -> LaneVector:
 
 
 def vstore_aligned(a: AlignedArray, i: int, v: LaneVector) -> None:
-    if CHECK_ALIGNMENT and i % a.width != 0:
+    if i % a.width != 0:
         raise UsageError(f"aligned store at index {i} not a multiple of W={a.width}")
     for l in range(a.width):
         a[i + l] = v.lanes[l]
@@ -157,7 +149,7 @@ def vstore_aligned(a: AlignedArray, i: int, v: LaneVector) -> None:
 
 def vstore_partial(a: AlignedArray, i: int, v: LaneVector, m: LaneMask) -> None:
     """Write only lanes whose mask bit is set; other elements stay untouched."""
-    if CHECK_ALIGNMENT and i % a.width != 0:
+    if i % a.width != 0:
         raise UsageError(f"partial store at index {i} not a multiple of W={a.width}")
     for l in range(a.width):
         if m.active[l]:

@@ -1,7 +1,36 @@
+import re
+from pathlib import Path
+
 import pytest
 
+import stencilrt.cli as cli
 from stencilrt.cli import build_parser, check_case, grid_of_boxes, main
 from stencilrt.oracle import PointSet
+
+FLAGS = {
+    "setops-check": {"--dims", "--seed", "--boxes", "--extent", "--cases", "--point-cap", "--all-dims"},
+    "setops-bench": {"--dims", "--boxes", "--reps", "--out"},
+    "stencil-bench": {"--seed", "--extent", "--iters", "--threads", "--fine-threads",
+                      "--lane-width", "--topology", "--out"},
+    "tune-sim": {"--seeds", "--iters", "--threads", "--fine-threads", "--lane-width",
+                 "--topology", "--out"},
+}
+# flags of other subcommands that each command does not read
+UNREAD = [
+    *(("setops-check", f) for f in ("--iters", "--threads", "--fine-threads", "--lane-width",
+                                    "--topology", "--out")),
+    *(("setops-bench", f) for f in ("--seed", "--extent", "--iters", "--threads",
+                                    "--fine-threads", "--lane-width", "--topology")),
+    *(("stencil-bench", f) for f in ("--dims", "--boxes")),
+    *(("tune-sim", f) for f in ("--dims", "--seed", "--boxes", "--extent")),
+]
+# small sizes, so that a run which wrongly accepts a flag ends quickly
+SMALL = {
+    "setops-check": ["--cases", "1"],
+    "setops-bench": ["--boxes", "128", "--reps", "1"],
+    "stencil-bench": ["--extent", "8", "--iters", "1"],
+    "tune-sim": ["--seeds", "1", "--iters", "1"],
+}
 
 
 class TestSetopsCheck:
@@ -43,6 +72,29 @@ class TestUsageErrors:
         assert main(["stencil-bench", "--extent", "8", "--iters", "1"] + flags) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag", UNREAD, ids=[f"{c} {f}" for c, f in UNREAD])
+    def test_flag_the_command_does_not_read_exits_2(self, command, flag, capsys):
+        # abbreviations are off, so tune-sim --seed is not taken for --seeds
+        with pytest.raises(SystemExit) as exc:
+            main([command, *SMALL[command], flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "stencil-bench --iters 0",
+        "tune-sim --seeds 0",
+        "setops-check --extent 3",
+        "setops-check --boxes -1",
+        "setops-bench --boxes 10",
+        "setops-bench --boxes 64",  # one point, no slope to fit
+    ])
+    def test_count_the_command_cannot_run_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument" in err and "Traceback" not in err
+
     def test_missing_topology_file_exits_2(self, tmp_path, capsys):
         assert main(["tune-sim", "--seeds", "1", "--topology", str(tmp_path / "absent.cfg")]) == 2
         assert "topology" in capsys.readouterr().err
@@ -80,6 +132,23 @@ class TestStencilBench:
         phases = {line.split(",")[3] for line in tuned}
         assert phases & {"warmup", "initial", "climbing", "excursion"}
 
+    def test_topology_file_rng_seed_reaches_tuner(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "topo.cfg"
+        cfg.write_text("rng_seed = 7\n")
+        seen = []
+        real = cli.run_tuned
+
+        def spy(n, iters, seed, topo):
+            seen.append((seed, topo.rng_seed))
+            return real(n, iters, seed, topo)
+
+        monkeypatch.setattr(cli, "run_tuned", spy)
+        small = ["stencil-bench", "--extent", "8", "--iters", "2", "--topology", str(cfg)]
+        assert main(small) == 0
+        assert main(small + ["--seed", "11"]) == 0
+        # the grid keeps its default seed; --seed, when given, wins over the file
+        assert seen == [(cli.DEFAULT_SEED, 7), (11, 11)]
+
 
 class TestTuneSim:
     def test_deterministic_output(self, tmp_path, capsys):
@@ -99,3 +168,21 @@ def test_parser_lists_all_subcommands():
     parser = build_parser()
     sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
     assert set(sub.choices) == {"setops-check", "setops-bench", "stencil-bench", "tune-sim"}
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
+    accepted = {
+        name: {opt for a in p._actions for opt in a.option_strings if opt.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    assert accepted == FLAGS
+    assert sum(map(len, accepted.values())) == 26
+
+
+def test_source_reads_no_environment():
+    # settings come from flags, the topology file or the defaults only
+    src = Path(cli.__file__).parent
+    for path in src.glob("*.py"):
+        assert not re.search(r"\b(environ|getenv)\b", path.read_text()), path.name

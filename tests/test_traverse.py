@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+import stencilrt.traverse as traverse
 import stencilrt.vlanes as vl
 from stencilrt.lattice import BBox, UsageError, point, stride
 from stencilrt.traverse import (
@@ -26,6 +27,19 @@ from stencilrt.tuner import (
 
 def points_of(s: IndexSpace):
     return itertools.product(*[range(l, h) for l, h in zip(s.lo, s.hi)])
+
+
+def prefix_split(cuts_per_dim):
+    """Reference cutter: grows every piece one dimension at a time, outermost
+    dimension varying slowest, building a space for each prefix."""
+    pieces = [IndexSpace((), ())]
+    for cuts in reversed(cuts_per_dim):
+        nxt = []
+        for piece in pieces:
+            for k in range(len(cuts) - 1):
+                nxt.append(IndexSpace((cuts[k],) + piece.lo, (cuts[k + 1],) + piece.hi))
+        pieces = nxt
+    return pieces
 
 
 def assert_partition(parent, children):
@@ -84,6 +98,23 @@ class TestBuildPlan:
         p = ExecParams((1, 2, 2), (8, 8, 8), (1, 1, 1), 4)
         assert build_plan(space, p) == build_plan(space, p)
         assert list(build_plan(space, p).pieces()) == list(build_plan(space, p).pieces())
+
+    def test_pieces_match_prefix_cutter(self, rng, monkeypatch):
+        plans = []
+        for _ in range(300):
+            d = rng.choice([1, 2, 3])
+            lo = tuple(rng.randint(-9, 9) for _ in range(d))
+            ext = tuple(rng.randint(0, 20) for _ in range(d))
+            p = ExecParams(
+                tuple(rng.randint(1, 4) for _ in range(d)),
+                tuple(rng.randint(1, 12) for _ in range(d)),
+                tuple(rng.randint(1, 3) for _ in range(d)),
+                rng.choice([1, 2, 4, 8]),
+            )
+            plans.append(build_plan(IndexSpace(lo, tuple(l + e for l, e in zip(lo, ext))), p))
+        pieces = [list(plan.pieces()) for plan in plans]
+        monkeypatch.setattr(traverse, "_split_space", prefix_split)
+        assert [list(plan.pieces()) for plan in plans] == pieces
 
     def test_randomized_partition_exactness(self, rng):
         topo = TopologyConfig(n_coarse_threads=4, n_fine_threads=2, lane_width=4)

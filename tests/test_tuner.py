@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import stencilrt.tuner as tuner
 from stencilrt.lattice import UsageError
 from stencilrt.synthetic import SyntheticSurface, run_simulation
 from stencilrt.tuner import (
@@ -72,6 +73,10 @@ class TestTopologyConfig:
         with pytest.raises(UsageError):
             TopologyConfig(**bad)
 
+    def test_lane_width_ignores_environment(self, monkeypatch):
+        monkeypatch.setenv("LANE_WIDTH", "8")
+        assert TopologyConfig().lane_width == 4
+
     def test_limits_accepted(self):
         # constructing a config starts no thread, so the thread cap is tested as a value
         topo = TopologyConfig(n_coarse_threads=8, n_fine_threads=8, lane_width=16,
@@ -105,6 +110,41 @@ class TestParamsInitial:
         topo = TopologyConfig(lane_width=4, cache_line_bytes=64)
         p = params_initial(setup, topo)
         assert p.tile_size[0] % 8 == 0  # 64-byte lines = 8 doubles
+
+
+@pytest.mark.parametrize("alignment", ["none", "page"])
+def test_unknown_alignment_class_rejected(alignment):
+    with pytest.raises(UsageError):
+        LoopSetup("s", (8,), alignment)
+
+
+def enumerate_recursive(setup, topo):
+    """Reference enumeration: tiles lexicographic with the innermost axis
+    slowest, then coarse splits, then fine splits."""
+    coarse = tuner._split_domain(setup.n_coarse_threads, setup)
+    fine = tuner._split_domain(setup.n_fine_threads, setup)
+    out = []
+
+    def rec(axis, tile):
+        if axis == setup.dim:
+            out.extend(ExecParams(c, tuple(tile), f, topo.lane_width) for c in coarse for f in fine)
+            return
+        for t in tuner._tile_domain(setup, topo, axis):
+            rec(axis + 1, tile + [t])
+
+    rec(0, [])
+    return out
+
+
+def test_enumeration_order_matches_recursive_reference(rng):
+    # random draws from the enumeration (criterion 7) depend on its order
+    for _ in range(100):
+        d = rng.choice([1, 2, 3])
+        nc, nf = rng.choice([1, 2, 4, 6]), rng.choice([1, 2, 3])
+        setup = LoopSetup("e", tuple(rng.randint(1, 40) for _ in range(d)),
+                          rng.choice(["vector", "cache_line"]), nc, nf)
+        topo = TopologyConfig(n_coarse_threads=nc, n_fine_threads=nf, lane_width=rng.choice([1, 2, 4, 8]))
+        assert enumerate_valid_params(setup, topo) == enumerate_recursive(setup, topo)
 
 
 class TestNeighbors:
