@@ -12,17 +12,17 @@ child-node) pairs with strictly increasing coordinates and no empty children.
 An empty tuple and False are both falsy, so ``not node`` tests emptiness at
 any dimension.
 
-Binary set operations run the sweep: advance over the merged toggle
-coordinates of both operands, reconstruct the running operand slices by
-xor-accumulation, re-evaluate the operation on the slices, and store the
-change of the result slice.  Symmetric difference alone short-circuits this:
-it can be applied directly to the derivatives by a structural merge of the
-two trees.
+Operations linear over xor (shift, refine, coarsen, symmetric difference)
+are structural passes over the toggles.  Union, intersection and difference
+run the sweep: advance over the merged toggle coordinates of both operands,
+reconstruct the running operand slices by xor-accumulation, re-evaluate the
+operation on the slices, and store the change of the result slice.  Expand
+still goes through the normalized boxes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .lattice import BBox, Point, Stride, UsageError, format_bbox, parse_bbox
 
@@ -175,21 +175,24 @@ def _leaf_count(node: _Node, dim: int) -> int:
 def _leaf_points(node: _Node, dim: int) -> list[tuple[int, ...]]:
     if dim == 0:
         return [()] if node else []
-    out = []
-    for k, child in node:
-        for prefix in _leaf_points(child, dim - 1):
-            out.append(prefix + (k,))
-    return out
+    return [prefix + (k,) for k, child in node for prefix in _leaf_points(child, dim - 1)]
+
+
+def _runs(node: _Node, dim: int) -> Iterator[tuple[int, int, _Node]]:
+    """Yield (start, stop, slice) for each non-empty slice along the last axis."""
+    d1 = dim - 1
+    run = _empty_node(d1)
+    for j, (k, child) in enumerate(node):
+        run = _xor_nodes(run, child, d1)
+        if run:
+            # even-toggle invariant guarantees a later key closes this run
+            yield k, node[j + 1][0], run
 
 
 def _refine_node(node: _Node, dim: int, old_steps: tuple[int, ...], new_steps: tuple[int, ...]) -> _Node:
-    """Re-encode the same membership on a finer stride.
-
-    A toggle pair (k, k_next) on stride s covers positions k, k+s, ...; on a
-    finer stride each of those positions becomes its own on/off toggle pair,
-    all sharing one refined slice.  Re-encoding is linear over xor, so running
-    slices can be maintained by merging refined children.
-    """
+    """Re-encode the same membership on a finer stride: each run's slice is
+    refined, and each position k, k+s, ... of a run on a stride that changes
+    becomes its own on/off toggle pair sharing that refined slice."""
     if dim == 0:
         return node
     d1 = dim - 1
@@ -197,14 +200,30 @@ def _refine_node(node: _Node, dim: int, old_steps: tuple[int, ...], new_steps: t
     if so == sn:
         return tuple((k, _refine_node(c, d1, old_steps, new_steps)) for k, c in node)
     out = []
-    run = _empty_node(d1)
-    for j, (k, child) in enumerate(node):
-        run = _xor_nodes(run, _refine_node(child, d1, old_steps, new_steps), d1)
-        if run:
-            k_next = node[j + 1][0]
-            for p in range(k, k_next, so):
-                out.append((p, run))
-                out.append((p + sn, run))
+    for start, stop, run in _runs(node, dim):
+        fine = _refine_node(run, d1, old_steps, new_steps)
+        for p in range(start, stop, so):
+            out.append((p, fine))
+            out.append((p + sn, fine))
+    return tuple(out)
+
+
+def _coarsen_node(node: _Node, dim: int, offset: tuple[int, ...], new_steps: tuple[int, ...]) -> _Node:
+    """Restrict to the coarse lattice through offset: each toggle key moves up
+    to the next coarse coordinate, which keeps membership at every coarse
+    point since k <= n iff the moved key is; toggles that collide merge by xor."""
+    if dim == 0:
+        return node
+    d1 = dim - 1
+    o, ns = offset[d1], new_steps[d1]
+    out = []
+    for k, child in node:
+        k += (o - k) % ns
+        c = _coarsen_node(child, d1, offset, new_steps)
+        if out and out[-1][0] == k:
+            c = _xor_nodes(out.pop()[1], c, d1)
+        if c:
+            out.append((k, c))
     return tuple(out)
 
 
@@ -217,18 +236,20 @@ def _node_boxes(node: _Node, dim: int, steps: tuple[int, ...]) -> list[tuple[tup
     """
     if dim == 0:
         return [((), ())] if node else []
-    d1 = dim - 1
-    s = steps[d1]
-    out = []
-    state = _empty_node(d1)
-    for j, (k, child) in enumerate(node):
-        state = _xor_nodes(state, child, d1)
-        if state:
-            # even-toggle invariant guarantees a later key closes this run
-            k_next = node[j + 1][0]
-            for lo, up in _node_boxes(state, d1, steps):
-                out.append((lo + (k,), up + (k_next - s,)))
-    return out
+    s = steps[dim - 1]
+    return [(lo + (start,), up + (stop - s,))
+            for start, stop, run in _runs(node, dim)
+            for lo, up in _node_boxes(run, dim - 1, steps)]
+
+
+def _union_all(nodes: list[_Node], dim: int) -> _Node:
+    """Balanced pairwise union of one or more trees, near O(n log n) for n boxes."""
+    while len(nodes) > 1:
+        merged = [_apply_nodes(UNION, nodes[i], nodes[i + 1], dim) for i in range(0, len(nodes) - 1, 2)]
+        if len(nodes) % 2:
+            merged.append(nodes[-1])
+        nodes = merged
+    return nodes[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,17 +302,8 @@ class BBoxSet:
             if tuple(l % s for l, s in zip(b.lower.coords, b.stride.steps)) != off:
                 raise UsageError("boxes on different sub-lattices")
         d = first.dim
-        nodes = [_box_node(b, d) for b in live]
-        # balanced pairwise union keeps n-box construction near O(n log n)
-        while len(nodes) > 1:
-            merged = [
-                _apply_nodes(UNION, nodes[i], nodes[i + 1], d)
-                for i in range(0, len(nodes) - 1, 2)
-            ]
-            if len(nodes) % 2:
-                merged.append(nodes[-1])
-            nodes = merged
-        return _wrap(d, first.stride, Point(off), nodes[0])
+        root = _union_all([_box_node(b, d) for b in live], d)
+        return _wrap(d, first.stride, Point(off), root)
 
     @staticmethod
     def from_text(text: str, dim: int | None = None, stride: Stride | None = None) -> "BBoxSet":
@@ -389,22 +401,9 @@ class BBoxSet:
         if factor.dim != self.dim:
             raise UsageError(f"dimension mismatch: {self.dim} vs {factor.dim}")
         new_steps = tuple(s * f for s, f in zip(self.stride.steps, factor.steps))
-        new_stride = Stride(new_steps)
-        kept = []
-        for b in self.to_bboxes():
-            lo, up = [], []
-            dead = False
-            for l, u, o, ns in zip(b.lower.coords, b.upper.coords, self.offset.coords, new_steps):
-                nl = l + (o - l) % ns
-                nu = u - (u - o) % ns
-                if nl > nu:
-                    dead = True
-                    break
-                lo.append(nl)
-                up.append(nu)
-            if not dead:
-                kept.append(BBox(Point(tuple(lo)), Point(tuple(up)), new_stride))
-        return BBoxSet.from_bboxes(kept, dim=self.dim, stride=new_stride)
+        # the anchor, below the old stride, is a coarse-lattice coordinate too
+        root = _coarsen_node(self.root, self.dim, self.offset.coords, new_steps)
+        return _wrap(self.dim, Stride(new_steps), self.offset, root)
 
     def refine(self, factor: Stride) -> "BBoxSet":
         """Make a finer lattice available: stride / factor, membership unchanged."""

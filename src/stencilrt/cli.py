@@ -7,7 +7,6 @@ All subcommands are deterministic for a fixed seed, wall-clock columns aside.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 from dataclasses import replace
@@ -16,93 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import NaiveBoxList
-from .bboxset import BBoxSet, SET_OPS
-from .lattice import BBox, Point, ResourceError, Stride, UsageError, format_bbox
-from .oracle import DEFAULT_POINT_CAP, PointSet, oracle_from_bboxset
+from .bboxset import BBoxSet
+from .fuzz import check_case, grid_of_boxes
+from .lattice import ResourceError, UsageError
+from .oracle import DEFAULT_POINT_CAP
 from .stencil import bit_identical, run_naive, run_serial, run_tuned
 from .synthetic import run_simulation
 from .tuner import TopologyConfig
 
 DEFAULT_SEED = 20130715
-
-
-def random_box(rng: random.Random, dim: int, hull: tuple[int, ...],
-               steps: tuple[int, ...]) -> BBox:
-    """Uniform corners within the hull, swapped if inverted (rejection-free)."""
-    lo, up = [], []
-    for e, s in zip(hull, steps):
-        a = rng.randrange(0, max(1, e // s)) * s
-        b = rng.randrange(0, max(1, e // s)) * s
-        lo.append(min(a, b))
-        up.append(max(a, b))
-    return BBox(Point(tuple(lo)), Point(tuple(up)), Stride(steps))
-
-
-def random_boxes(rng: random.Random, dim: int, hull: tuple[int, ...],
-                 steps: tuple[int, ...], count: int) -> list[BBox]:
-    return [random_box(rng, dim, hull, steps) for _ in range(count)]
-
-
-def check_case(seed: int, dim: int, max_boxes: int, max_extent: int,
-               point_cap: int = DEFAULT_POINT_CAP) -> str | None:
-    """One randomized cross-check of every set operation against the oracle.
-
-    Returns None on agreement, else a reproduction message.
-    """
-    rng = random.Random(seed)
-    steps = tuple(rng.choice((1, 1, 2)) for _ in range(dim))
-    hull = tuple(rng.randint(4, max_extent) for _ in range(dim))
-    boxes_r = random_boxes(rng, dim, hull, steps, rng.randint(0, max_boxes))
-    boxes_s = random_boxes(rng, dim, hull, steps, rng.randint(0, max_boxes))
-
-    def fail(op: str) -> str:
-        lines = [f"mismatch in {op} (seed={seed}, dim={dim})",
-                 "R boxes:"] + [f"  {format_bbox(b)}" for b in boxes_r] + \
-                ["S boxes:"] + [f"  {format_bbox(b)}" for b in boxes_s]
-        return "\n".join(lines)
-
-    r = BBoxSet.from_bboxes(boxes_r, dim=dim, stride=Stride(steps))
-    s = BBoxSet.from_bboxes(boxes_s, dim=dim, stride=Stride(steps))
-    a = PointSet.from_bboxes(boxes_r, dim=dim, stride=Stride(steps), cap=point_cap)
-    b = PointSet.from_bboxes(boxes_s, dim=dim, stride=Stride(steps), cap=point_cap)
-    if oracle_from_bboxset(r, cap=point_cap).points != a.points:
-        return fail("from_bboxes")
-
-    for op in SET_OPS:
-        if oracle_from_bboxset(r.apply(op, s), cap=point_cap).points != a.op(op, b).points:
-            return fail(op)
-    if oracle_from_bboxset(r.symmetric_difference(s), cap=point_cap).points != a.symmetric_difference(b).points:
-        return fail("symmetric_difference (fast path)")
-
-    v = Point(tuple(rng.randint(-3, 3) * st for st in steps))
-    if oracle_from_bboxset(r.shift(v), cap=point_cap).points != a.shift(v).points:
-        return fail("shift")
-
-    lo = Point(tuple(rng.randint(0, 1) for _ in range(dim)))
-    hi = Point(tuple(rng.randint(0, 1) for _ in range(dim)))
-    if oracle_from_bboxset(r.expand(lo, hi), cap=point_cap).points != a.expand(lo, hi, cap=point_cap).points:
-        return fail("expand")
-
-    f = Stride(tuple(rng.choice((1, 2, 3)) for _ in range(dim)))
-    if oracle_from_bboxset(r.coarsen(f), cap=point_cap).points != a.coarsen(f).points:
-        return fail("coarsen")
-
-    fr = Stride(tuple(rng.choice((1, st)) for st in steps))
-    if oracle_from_bboxset(r.refine(fr), cap=point_cap).points != a.refine(fr).points:
-        return fail("refine")
-
-    norm = r.to_bboxes()
-    hulls = [(b.lower.coords, b.upper.coords) for b in norm]
-    for i in range(len(hulls)):
-        lo_i, up_i = hulls[i]
-        for j in range(i + 1, len(hulls)):
-            lo_j, up_j = hulls[j]
-            if all(max(a1, a2) <= min(b1, b2)
-                   for a1, b1, a2, b2 in zip(lo_i, up_i, lo_j, up_j)):
-                return fail("to_bboxes (overlap)")
-    if PointSet.from_bboxes(norm, dim=dim, stride=Stride(steps), cap=point_cap).points != a.points:
-        return fail("to_bboxes (membership)")
-    return None
 
 
 def cmd_setops_check(args) -> int:
@@ -119,24 +40,6 @@ def cmd_setops_check(args) -> int:
             total += 1
     print(f"setops-check: {total} randomized cases agree with the oracle")
     return 0
-
-
-def grid_of_boxes(n: int, dim: int) -> list[BBox]:
-    """n disjoint unit-spaced boxes arranged on a d-dimensional grid."""
-    side = max(1, round(n ** (1.0 / dim)))
-    while side ** dim < n:
-        side += 1
-    boxes = []
-    st = Stride.ones(dim)
-    for idx in range(n):
-        rest, coord = idx, []
-        for _ in range(dim):
-            coord.append(rest % side)
-            rest //= side
-        lo = tuple(4 * c for c in coord)          # 3-wide boxes, 1-point gaps
-        up = tuple(4 * c + 2 for c in coord)
-        boxes.append(BBox(Point(lo), Point(up), st))
-    return boxes
 
 
 def _fit_slope(ns, ts) -> float:
@@ -214,7 +117,8 @@ def cmd_stencil_bench(args) -> int:
 
 
 def cmd_tune_sim(args) -> int:
-    topo = _topology(args)
+    # without a topology file the simulated machine has 4 coarse threads
+    topo = _topology(args, TopologyConfig(n_coarse_threads=4))
     report = run_simulation(args.seeds, args.iters, topo)
     print(f"tune-sim: optimum {report.optimum:.4f}, "
           f"{report.converged}/{report.seeds} seeds within 10% in <= {report.evals} evals "
@@ -230,9 +134,9 @@ def cmd_tune_sim(args) -> int:
     return 0
 
 
-def _topology(args, **overrides) -> TopologyConfig:
-    """The topology file (or the defaults) with every value a flag gave."""
-    topo = TopologyConfig.from_file(args.topology) if args.topology else TopologyConfig()
+def _topology(args, default: TopologyConfig = TopologyConfig(), **overrides) -> TopologyConfig:
+    """The topology file (or else the default) with every value a flag gave."""
+    topo = TopologyConfig.from_file(args.topology) if args.topology else default
     given = dict(n_coarse_threads=args.threads, n_fine_threads=args.fine_threads,
                  lane_width=args.lane_width, **overrides)
     return replace(topo, **{k: v for k, v in given.items() if v is not None})
@@ -249,9 +153,9 @@ def _at_least(minimum: int):
     return parse
 
 
-def _config_flags(p: argparse.ArgumentParser, threads: int | None) -> None:
+def _config_flags(p: argparse.ArgumentParser) -> None:
     """The topology flags and the CSV output of the two tuned subcommands."""
-    p.add_argument("--threads", type=int, default=threads, help="coarse threads")
+    p.add_argument("--threads", type=int, default=None, help="coarse threads")
     p.add_argument("--fine-threads", dest="fine_threads", type=int, default=None)
     p.add_argument("--lane-width", dest="lane_width", type=int, default=None)
     p.add_argument("--topology", type=str, default=None, help="topology file; flags override it")
@@ -290,14 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"grid seed (default {DEFAULT_SEED}); if given, also the tuner's rng_seed")
     p.add_argument("--extent", type=_at_least(3), default=64)
     p.add_argument("--iters", type=_at_least(1), default=100)
-    _config_flags(p, threads=None)
+    _config_flags(p)
     p.set_defaults(fn=cmd_stencil_bench)
 
     p = sub.add_parser("tune-sim", allow_abbrev=False,
                        help="tuner convergence on the synthetic cost surface")
     p.add_argument("--seeds", type=_at_least(1), default=100, help="tuner seeds 0..N-1, one run each")
     p.add_argument("--iters", type=_at_least(1), default=50, help="evaluations per run")
-    _config_flags(p, threads=4)
+    _config_flags(p)
     p.set_defaults(fn=cmd_tune_sim)
 
     return parser

@@ -13,7 +13,7 @@ import stencilrt.vlanes as vl
 from helpers import make_operands
 from stencilrt.baseline import NaiveBoxList
 from stencilrt.bboxset import BBoxSet
-from stencilrt.cli import check_case, grid_of_boxes
+from stencilrt.fuzz import check_case, grid_of_boxes
 from stencilrt.lattice import BBox, point, stride
 from stencilrt.oracle import PointSet, oracle_from_bboxset
 from stencilrt.stencil import bit_identical, run_naive, run_serial, run_tuned

@@ -170,6 +170,19 @@ class TestExpand:
             lshape().expand(point(-1, 0), point(0, 0))
 
 
+def _box_route_coarsen(r, factor):
+    """Reference coarsen: round each normalized box's corners inward onto the
+    coarse lattice and rebuild from the boxes that stay non-empty."""
+    new_stride = Stride(tuple(s * f for s, f in zip(r.stride.steps, factor.steps)))
+    kept = []
+    for b in r.to_bboxes():
+        trio = zip(b.lower.coords, b.upper.coords, r.offset.coords, new_stride.steps)
+        corners = [(l + (o - l) % ns, u - (u - o) % ns) for l, u, o, ns in trio]
+        if all(l <= u for l, u in corners):
+            kept.append(BBox(Point(tuple(l for l, _ in corners)), Point(tuple(u for _, u in corners)), new_stride))
+    return BBoxSet.from_bboxes(kept, dim=r.dim, stride=new_stride)
+
+
 class TestCoarsenRefine:
     def test_coarsen_example(self):
         r = BBoxSet.from_bboxes([BBox(point(0), point(4), stride(1))])
@@ -200,6 +213,31 @@ class TestCoarsenRefine:
             a = PointSet.from_bboxes(boxes_r, dim=dim, stride=steps)
             f = Stride(tuple(rng.choice((1, 2, 3)) for _ in range(dim)))
             assert oracle_from_bboxset(r.coarsen(f)).points == a.coarsen(f).points
+
+    def test_coarsen_matches_box_route(self, rng):
+        """The tree pass gives the very tree the box route builds (trees are canonical)."""
+        for _ in range(320):
+            dim = rng.randint(1, 4)
+            steps = tuple(rng.randint(1, 3) for _ in range(dim))
+            anchor = tuple(rng.randrange(s) for s in steps)
+            boxes = []
+            for _ in range(rng.randint(0, 5)):
+                lo = tuple(a + s * rng.randint(-4, 3) for a, s in zip(anchor, steps))
+                up = tuple(l + s * rng.randint(0, 4) for l, s in zip(lo, steps))
+                boxes.append(BBox(Point(lo), Point(up), Stride(steps)))
+            r = BBoxSet.from_bboxes(boxes, dim=dim, stride=Stride(steps))
+            f = Stride(tuple(rng.randint(1, 3) for _ in range(dim)))
+            got, want = r.coarsen(f), _box_route_coarsen(r, f)
+            assert (got.root, got.stride, got.offset) == (want.root, want.stride, want.offset)
+            # refine, which also walks runs, must keep its trees canonical too
+            fr = r.refine(Stride(steps))
+            assert BBoxSet.from_bboxes(fr.to_bboxes(), dim=dim, stride=fr.stride).root == fr.root
+
+    def test_coarsen_merges_colliding_toggles(self):
+        lone = BBoxSet.from_bboxes([BBox(point(1), point(1), stride(1))])
+        assert lone.coarsen(stride(2)).is_empty()
+        pair = BBoxSet.from_bboxes([BBox(point(0), point(0), stride(1)), BBox(point(2), point(2), stride(1))])
+        assert pair.coarsen(stride(2)).to_bboxes() == [BBox(point(0), point(2), stride(2))]
 
     def test_bad_factor_rejected(self):
         r = BBoxSet.from_bboxes([BBox(point(0), point(4), stride(1))])

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import stencilrt.cli as cli
-from stencilrt.cli import build_parser, check_case, grid_of_boxes, main
+from stencilrt.cli import build_parser, main
+from stencilrt.fuzz import check_case, grid_of_boxes
 from stencilrt.oracle import PointSet
 
 FLAGS = {
@@ -162,6 +163,27 @@ class TestTuneSim:
         assert out1.read_text() == out2.read_text()
         header = out1.read_text().splitlines()[0]
         assert header == "seed,best_cost,evals_to_within_10pct,consecutive_bad_violations,total_cost"
+
+    @pytest.mark.parametrize("file_threads, flags, want", [
+        (2, [], 2),                  # the file's value holds
+        (2, ["--threads", "3"], 3),  # a given flag wins over the file
+        (None, [], 4),               # no file: 4 coarse threads
+    ])
+    def test_coarse_threads_source(self, file_threads, flags, want, tmp_path, monkeypatch, capsys):
+        seen = []
+        real = cli.run_simulation
+
+        def spy(seeds, iters, topo):
+            seen.append(topo.n_coarse_threads)
+            return real(seeds, iters, topo)
+
+        monkeypatch.setattr(cli, "run_simulation", spy)
+        if file_threads is not None:
+            cfg = tmp_path / "topo.cfg"
+            cfg.write_text(f"n_coarse_threads = {file_threads}\n")
+            flags = flags + ["--topology", str(cfg)]
+        assert main(["tune-sim", "--seeds", "1", "--iters", "2", *flags]) == 0
+        assert seen == [want]
 
 
 def test_parser_lists_all_subcommands():
