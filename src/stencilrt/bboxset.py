@@ -17,7 +17,8 @@ are structural passes over the toggles.  Union, intersection and difference
 run the sweep: advance over the merged toggle coordinates of both operands,
 reconstruct the running operand slices by xor-accumulation, re-evaluate the
 operation on the slices, and store the change of the result slice.  Expand
-still goes through the normalized boxes.
+is a window sweep over grown runs: each run's slice is dilated, its span
+grown, and the union of the spans covering each coordinate is tracked.
 """
 from __future__ import annotations
 
@@ -227,6 +228,34 @@ def _coarsen_node(node: _Node, dim: int, offset: tuple[int, ...], new_steps: tup
     return tuple(out)
 
 
+def _expand_node(node: _Node, dim: int, lo: tuple[int, ...], hi: tuple[int, ...], steps: tuple[int, ...]) -> _Node:
+    """Dilate by lo/hi steps: each run's slice is dilated and its span grown
+    to [start - lo*s, stop + hi*s).  Grown starts and stops stay sorted, so the
+    spans covering a coordinate are a window [i, j) of runs; sweeping the
+    window's edges stores each change of the union of its slices."""
+    if dim == 0:
+        return node
+    d1 = dim - 1
+    down, up = lo[d1] * steps[d1], hi[d1] * steps[d1]
+    runs = [(start - down, stop + up, _expand_node(run, d1, lo, hi, steps))
+            for start, stop, run in _runs(node, dim)]
+    out = []
+    cur = _empty_node(d1)
+    i = j = 0
+    while i < len(runs):
+        x = runs[i][1] if j == len(runs) else min(runs[j][0], runs[i][1])
+        if j < len(runs) and runs[j][0] == x:
+            j += 1
+        if runs[i][1] == x:
+            i += 1
+        new = _union_all([c for _, _, c in runs[i:j]], d1) if i < j else _empty_node(d1)
+        delta = _xor_nodes(new, cur, d1)
+        if delta:
+            out.append((x, delta))
+        cur = new
+    return tuple(out)
+
+
 def _node_boxes(node: _Node, dim: int, steps: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Canonical normalization: (lower, upper) corner pairs, disjoint and exact.
 
@@ -393,8 +422,8 @@ class BBoxSet:
             raise UsageError(f"dimension mismatch: {self.dim} vs {lo.dim}/{hi.dim}")
         if any(c < 0 for c in lo.coords) or any(c < 0 for c in hi.coords):
             raise UsageError("expand takes non-negative step counts; shrink via complement within a hull")
-        boxes = [b.expand(lo, hi) for b in self.to_bboxes()]
-        return BBoxSet.from_bboxes(boxes, dim=self.dim, stride=self.stride)
+        root = _expand_node(self.root, self.dim, lo.coords, hi.coords, self.stride.steps)
+        return _wrap(self.dim, self.stride, self.offset, root)
 
     def coarsen(self, factor: Stride) -> "BBoxSet":
         """Keep only points on the coarser sub-lattice (stride * factor, same anchor)."""

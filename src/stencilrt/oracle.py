@@ -8,6 +8,7 @@ and it is allowed to cost O(points).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .lattice import BBox, Point, ResourceError, Stride, UsageError
@@ -48,14 +49,13 @@ class PointSet:
         total = sum(b.point_count() for b in live)
         if total > cap:
             raise ResourceError(f"oracle point budget exceeded: {total} > {cap}")
-        pts = frozenset(
-            c
-            for b in live
-            for c in itertools.product(*[
+        pts = frozenset(itertools.chain.from_iterable(
+            itertools.product(*[
                 range(l, u + 1, s)
                 for l, u, s in zip(b.lower.coords, b.upper.coords, b.stride.steps)
             ])
-        )
+            for b in live
+        ))
         off = Point(tuple(l % s for l, s in zip(first.lower.coords, first.stride.steps)))
         return _wrap(first.dim, first.stride, off, pts)
 
@@ -93,20 +93,17 @@ class PointSet:
                      frozenset(tuple(x + d for x, d in zip(p, vv)) for p in self.points))
 
     def expand(self, lo: Point, hi: Point, cap: int = DEFAULT_POINT_CAP) -> "PointSet":
-        """Dilation: union of every point's stride-step neighborhood box."""
+        """Dilation, one axis at a time: each point yields its lo+hi+1
+        stride-step neighbours along the axis."""
         if any(c < 0 for c in lo.coords) or any(c < 0 for c in hi.coords):
             raise UsageError("expand takes non-negative step counts")
-        deltas = list(itertools.product(*[
-            range(-l * s, h * s + 1, s)
-            for l, h, s in zip(lo.coords, hi.coords, self.stride.steps)
-        ]))
-        if len(self.points) * len(deltas) > 4 * cap:
+        if len(self.points) * math.prod(l + h + 1 for l, h in zip(lo.coords, hi.coords)) > 4 * cap:
             raise ResourceError("oracle dilation budget exceeded")
-        pts = frozenset(
-            tuple(x + d for x, d in zip(p, delta))
-            for p in self.points
-            for delta in deltas
-        )
+        pts = self.points
+        for axis, (l, h, s) in enumerate(zip(lo.coords, hi.coords, self.stride.steps)):
+            span = range(-l * s, h * s + 1, s)
+            pts = {p[:axis] + (p[axis] + d,) + p[axis + 1:] for p in pts for d in span}
+        pts = frozenset(pts)
         if len(pts) > cap:
             raise ResourceError(f"oracle point budget exceeded: {len(pts)} > {cap}")
         return _wrap(self.dim, self.stride, self.offset, pts)

@@ -147,10 +147,56 @@ class TestShift:
         assert oracle_from_bboxset(moved).points == want
 
 
+def _box_route_expand(r, lo, hi):
+    """Reference expand: grow each normalized box and rebuild from the union."""
+    return BBoxSet.from_bboxes([b.expand(lo, hi) for b in r.to_bboxes()], dim=r.dim, stride=r.stride)
+
+
+def _random_set(rng, dim, steps):
+    """Up to five boxes on a random anchor of the lattice, corners possibly negative."""
+    anchor = tuple(rng.randrange(s) for s in steps)
+    boxes = []
+    for _ in range(rng.randint(0, 5)):
+        lo = tuple(a + s * rng.randint(-4, 3) for a, s in zip(anchor, steps))
+        up = tuple(l + s * rng.randint(0, 4) for l, s in zip(lo, steps))
+        boxes.append(BBox(Point(lo), Point(up), Stride(steps)))
+    return BBoxSet.from_bboxes(boxes, dim=dim, stride=Stride(steps))
+
+
 class TestExpand:
-    def test_zero_identity(self):
+    def test_zero_identity(self, rng):
+        """No growth returns the input's very tree."""
+        assert lshape().expand(Point.zero(2), Point.zero(2)) == lshape()
+        for _ in range(50):
+            dim = rng.randint(1, 4)
+            r = _random_set(rng, dim, tuple(rng.randint(1, 3) for _ in range(dim)))
+            assert r.expand(Point.zero(dim), Point.zero(dim)) == r
+
+    def test_touching_spans_merge(self):
+        r = BBoxSet.from_bboxes([BBox(point(0), point(0), stride(1)), BBox(point(3), point(3), stride(1))])
+        assert r.expand(point(1), point(1)).to_bboxes() == [BBox(point(-1), point(4), stride(1))]
+
+    def test_expand_matches_box_route(self, rng):
+        """The window sweep gives the very tree the box route builds (trees are canonical)."""
+        for k in range(320):
+            dim = rng.randint(1, 4)
+            steps = tuple(rng.randint(1, 3) for _ in range(dim))
+            r = BBoxSet.empty(dim, Stride(steps)) if k % 40 == 0 else _random_set(rng, dim, steps)
+            lo = Point(tuple(rng.randint(0, 3) for _ in range(dim)))
+            hi = Point(tuple(rng.randint(0, 3) for _ in range(dim)))
+            got, want = r.expand(lo, hi), _box_route_expand(r, lo, hi)
+            assert (got.root, got.stride, got.offset) == (want.root, want.stride, want.offset)
+
+    def test_stays_on_the_tree(self, monkeypatch):
         r = lshape()
-        assert r.expand(Point.zero(2), Point.zero(2)).equals(r)
+        want = _box_route_expand(r, point(1, 2), point(3, 0))
+
+        def no_boxes(*args, **kwargs):
+            raise AssertionError("expand left the derivative tree")
+
+        monkeypatch.setattr(BBoxSet, "to_bboxes", no_boxes)
+        monkeypatch.setattr(BBoxSet, "from_bboxes", no_boxes)
+        assert r.expand(point(1, 2), point(3, 0)) == want
 
     def test_single_box_reduction(self):
         b = BBox(point(2, 4), point(6, 8), stride(2, 2))
@@ -219,13 +265,7 @@ class TestCoarsenRefine:
         for _ in range(320):
             dim = rng.randint(1, 4)
             steps = tuple(rng.randint(1, 3) for _ in range(dim))
-            anchor = tuple(rng.randrange(s) for s in steps)
-            boxes = []
-            for _ in range(rng.randint(0, 5)):
-                lo = tuple(a + s * rng.randint(-4, 3) for a, s in zip(anchor, steps))
-                up = tuple(l + s * rng.randint(0, 4) for l, s in zip(lo, steps))
-                boxes.append(BBox(Point(lo), Point(up), Stride(steps)))
-            r = BBoxSet.from_bboxes(boxes, dim=dim, stride=Stride(steps))
+            r = _random_set(rng, dim, steps)
             f = Stride(tuple(rng.randint(1, 3) for _ in range(dim)))
             got, want = r.coarsen(f), _box_route_coarsen(r, f)
             assert (got.root, got.stride, got.offset) == (want.root, want.stride, want.offset)

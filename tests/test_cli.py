@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import stencilrt.cli as cli
+from stencilrt.bboxset import BBoxSet
 from stencilrt.cli import build_parser, main
 from stencilrt.fuzz import check_case, grid_of_boxes
 from stencilrt.oracle import PointSet
@@ -47,6 +48,13 @@ class TestSetopsCheck:
     def test_case_function_returns_none_on_agreement(self):
         for seed in range(20):
             assert check_case(seed, 2, 10, 12) is None
+
+    def test_case_function_reports_overlapping_boxes(self, monkeypatch):
+        """A decomposition with the right union but a box listed twice is an overlap."""
+        to_bboxes = BBoxSet.to_bboxes
+        monkeypatch.setattr(BBoxSet, "to_bboxes", lambda r: to_bboxes(r) + to_bboxes(r)[:1])
+        msg = check_case(3, 2, 10, 12)
+        assert msg is not None and msg.startswith("mismatch in to_bboxes (overlap)")
 
 
 class TestUsageErrors:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from stencilrt.bboxset import BBoxSet
@@ -84,3 +86,32 @@ def test_oracle_derivative_matches_tree_leaves(rng):
         leaves = {p.coords for p in r.derivative_points()}
         assert d.points == leaves
         assert len(leaves) == r.derivative_element_count()
+
+
+def _product_expand(a, lo, hi):
+    """Reference dilation: every point plus every offset of the full product."""
+    deltas = list(itertools.product(*[
+        range(-l * s, h * s + 1, s) for l, h, s in zip(lo.coords, hi.coords, a.stride.steps)
+    ]))
+    return {tuple(x + d for x, d in zip(p, delta)) for p in a.points for delta in deltas}
+
+
+def test_separable_expand_matches_product(rng):
+    from helpers import make_operands
+
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        steps = tuple(rng.randint(1, 3) for _ in range(dim))
+        boxes, _, st = make_operands(rng, dim, hull_extent=8, max_boxes=4, steps=steps)
+        a = PointSet.from_bboxes(boxes, dim=dim, stride=st)
+        lo = Point(tuple(rng.randint(0, 2) for _ in range(dim)))
+        hi = Point(tuple(rng.randint(0, 2) for _ in range(dim)))
+        assert a.expand(lo, hi).points == _product_expand(a, lo, hi)
+
+
+def test_expand_budgets():
+    a = PointSet.from_bboxes([BBox(point(0, 0), point(9, 9), stride(1, 1))])
+    with pytest.raises(ResourceError, match="dilation budget"):
+        a.expand(point(2, 2), point(2, 2), cap=100)  # 100 points x 25 offsets > 4 x 100
+    with pytest.raises(ResourceError, match="point budget"):
+        a.expand(point(1, 0), point(0, 0), cap=100)  # 110 points, within the dilation budget
