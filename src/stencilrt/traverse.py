@@ -12,9 +12,12 @@ through four nested mechanisms, each level partitioning its parent exactly:
    tile in the block, with no wait between tiles;
 4. lane-aligned inner runs via vlanes.iterate_masked inside the kernel.
 
-A plan holds only the space and the parameters and cuts each level when it
-is asked for.  The calling thread is the first worker of every group, so a
-run with one coarse and one fine worker starts no thread at all.
+The space is checked when it is built, the parameters once in build_plan,
+which rejects any split, tile size or vector width below 1.  A plan cuts
+each block when asked, each dimension once into tile intervals and each of
+those once into fine chunks; the pieces are IndexSpaces built unchecked.
+The calling thread is the first worker of every group, so a run with one
+coarse and one fine worker starts no thread at all.
 
 Interior cut points along the innermost dimension are multiples of the lane
 width, so masked partial stores are only ever needed at the boundary of the
@@ -38,7 +41,7 @@ from .lattice import BBox, Point, Stride, UsageError
 from .tuner import ExecParams, LoopSetup, Tuner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexSpace:
     """[lo, hi) per dimension, innermost first."""
 
@@ -50,6 +53,14 @@ class IndexSpace:
             raise UsageError("index space bounds disagree in dimension")
         if any(h < l for l, h in zip(self.lo, self.hi)):
             raise UsageError(f"index space with inverted bounds: {self.lo}..{self.hi}")
+
+    @classmethod
+    def _trusted(cls, lo: tuple[int, ...], hi: tuple[int, ...]) -> IndexSpace:
+        """A space without the bounds check, for cells cut from a checked space."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "lo", lo)
+        object.__setattr__(space, "hi", hi)
+        return space
 
     @property
     def dim(self) -> int:
@@ -80,36 +91,34 @@ def index_space_to_bbox(s: IndexSpace) -> BBox:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """The nested decomposition of a space, cut one level at a time on demand."""
+    """The nested decomposition of a checked space, cut one block at a time on demand."""
 
     space: IndexSpace
     params: ExecParams
 
     def blocks(self) -> list[IndexSpace]:
-        return self._even(self.space, self.params.coarse_split)
+        return self._split([[iv] for iv in zip(self.space.lo, self.space.hi)], self.params.coarse_split)[0]
 
     def tiles(self, block: IndexSpace) -> list[IndexSpace]:
-        return _split_space([
-            _grid_cuts(a, b, max(1, t)) for a, b, t in zip(block.lo, block.hi, self.params.tile_size)
-        ])
+        return _cells(_grid_cuts(block, self.params.tile_size))
 
     def slices(self, tile: IndexSpace) -> list[IndexSpace]:
-        return self._even(tile, self.params.fine_split)
-
-    def _even(self, space: IndexSpace, split: tuple[int, ...]) -> list[IndexSpace]:
-        """Even chunks, interior innermost cuts on multiples of the vector width."""
-        units = [self.params.vector_width] + [1] * (space.dim - 1)
-        return _split_space([
-            _even_cuts(a, b, n, u) for a, b, n, u in zip(space.lo, space.hi, split, units)
-        ])
+        return self._split([[iv] for iv in zip(tile.lo, tile.hi)], self.params.fine_split)[0]
 
     def pieces(self):
         for block in self.blocks():
-            for tile in self.tiles(block):
-                yield from self.slices(tile)
+            for slices in self._split(_grid_cuts(block, self.params.tile_size), self.params.fine_split):
+                yield from slices
+
+    def _split(self, intervals_per_dim, split: tuple[int, ...]) -> list[list[IndexSpace]]:
+        """Even chunks of each cell of the intervals' product, each interval cut once."""
+        units = (self.params.vector_width,) + (1,) * (len(intervals_per_dim) - 1)
+        chunks = [[_even_cuts(a, b, n, u) for a, b in intervals]
+                  for intervals, n, u in zip(intervals_per_dim, split, units)]
+        return [_cells(outer_first[::-1]) for outer_first in itertools.product(*chunks[::-1])]
 
 
-def _even_cuts(a: int, b: int, n: int, unit: int) -> list[int]:
+def _even_cuts(a: int, b: int, n: int, unit: int) -> list[tuple[int, int]]:
     """<= n chunks of [a, b), interior boundaries on absolute multiples of unit."""
     cuts = [a]
     for j in range(1, n):
@@ -118,30 +127,29 @@ def _even_cuts(a: int, b: int, n: int, unit: int) -> list[int]:
         if cuts[-1] < c < b:
             cuts.append(c)
     cuts.append(b)
-    return cuts
+    return list(zip(cuts, cuts[1:]))
 
 
-def _grid_cuts(a: int, b: int, t: int) -> list[int]:
-    """Chunks of [a, b) cut at absolute multiples of t."""
-    cuts = [a]
-    first = (a // t + 1) * t
-    cuts.extend(range(first, b, t))
-    cuts.append(b)
-    return cuts
+def _grid_cuts(block: IndexSpace, tile_size: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+    """Each dimension of the block in chunks cut at absolute multiples of its tile size."""
+    cuts = [[a, *range((a // t + 1) * t, b, t), b] for a, b, t in zip(block.lo, block.hi, tile_size)]
+    return [list(zip(c, c[1:])) for c in cuts]
 
 
-def _split_space(cuts_per_dim: list[list[int]]) -> list[IndexSpace]:
-    """Every cell of the grid the cuts form, the outermost dimension varying slowest."""
-    outer_first = cuts_per_dim[::-1]
-    los = itertools.product(*(cuts[:-1] for cuts in outer_first))
-    his = itertools.product(*(cuts[1:] for cuts in outer_first))
-    return [IndexSpace(lo[::-1], hi[::-1]) for lo, hi in zip(los, his)]
+def _cells(intervals_per_dim) -> list[IndexSpace]:
+    """Every cell of the per-dimension intervals' product, outermost dimension slowest."""
+    cell = IndexSpace._trusted
+    return [cell(*zip(*outer_first[::-1])) if outer_first else cell((), ())
+            for outer_first in itertools.product(*intervals_per_dim[::-1])]
 
 
 def build_plan(space: IndexSpace, p: ExecParams) -> SplitPlan:
-    """Deterministic nested decomposition; impossible splits degrade to fewer pieces."""
-    if any(len(v) != space.dim for v in (p.coarse_split, p.tile_size, p.fine_split)):
+    """Deterministic nested decomposition, checked here once; impossible splits degrade to fewer pieces."""
+    sizes = (p.coarse_split, p.tile_size, p.fine_split)
+    if any(len(v) != space.dim for v in sizes):
         raise UsageError("params dimension disagrees with index space")
+    if p.vector_width < 1 or any(n < 1 for v in sizes for n in v):
+        raise UsageError(f"params must be positive: {p.flat()}")
     return SplitPlan(space, p)
 
 
@@ -182,15 +190,10 @@ def execute_plan(plan: SplitPlan, kernel: Kernel, n_coarse: int, n_fine: int) ->
         work.put(block)
     failed = False
 
-    def run_block(block: IndexSpace) -> None:
-        tiles = [plan.slices(tile) for tile in plan.tiles(block)]
-
-        def fine_worker(f: int) -> None:
-            for slices in tiles:
-                for piece in slices[f::n_fine]:
-                    kernel(piece)
-
-        _run_group(n_fine, fine_worker)
+    def fine_worker(tiles: list[list[IndexSpace]], f: int) -> None:
+        for slices in tiles:
+            for piece in slices[f::n_fine]:
+                kernel(piece)
 
     def coarse_worker(_: int) -> None:
         nonlocal failed
@@ -200,7 +203,8 @@ def execute_plan(plan: SplitPlan, kernel: Kernel, n_coarse: int, n_fine: int) ->
             except queue.Empty:
                 return
             try:
-                run_block(block)
+                tiles = plan._split(_grid_cuts(block, plan.params.tile_size), plan.params.fine_split)
+                _run_group(n_fine, lambda f: fine_worker(tiles, f))
             except BaseException:  # stop every coarse worker pulling blocks
                 failed = True
                 raise
@@ -226,13 +230,9 @@ def run_static(space: IndexSpace, kernel: Kernel, n_threads: int) -> float:
     """Naive baseline: one even chunk of the outermost dimension per thread,
     no tiling, no tuning.  Returns elapsed seconds."""
     n = max(1, n_threads)
-    d = space.dim
-    params = ExecParams(
-        coarse_split=(1,) * (d - 1) + (n,),
-        tile_size=tuple(max(1, h) for h in space.hi),  # no tile cut in a nonnegative space
-        fine_split=(1,) * d,
-        vector_width=1,
-    )
+    ones = (1,) * space.dim
+    # tiles as large as the upper bounds: no tile cut in a nonnegative space
+    params = ExecParams(ones[1:] + (n,), tuple(max(1, h) for h in space.hi), ones, 1)
     start = time.perf_counter()
     execute_plan(build_plan(space, params), kernel, n, 1)
     return time.perf_counter() - start

@@ -1,10 +1,11 @@
 import itertools
 import random
 import threading
+import time
+from collections import Counter, defaultdict
 
 import pytest
 
-import stencilrt.traverse as traverse
 import stencilrt.vlanes as vl
 from stencilrt.lattice import BBox, UsageError, point, stride
 from stencilrt.traverse import (
@@ -40,6 +41,73 @@ def prefix_split(cuts_per_dim):
                 nxt.append(IndexSpace((cuts[k],) + piece.lo, (cuts[k + 1],) + piece.hi))
         pieces = nxt
     return pieces
+
+
+def _ref_even_cuts(a, b, n, unit):
+    cuts = [a]
+    for j in range(1, n):
+        c = a + (b - a) * j // n
+        c = (c // unit) * unit
+        if cuts[-1] < c < b:
+            cuts.append(c)
+    cuts.append(b)
+    return cuts
+
+
+def _ref_grid_cuts(a, b, t):
+    cuts = [a]
+    first = (a // t + 1) * t
+    cuts.extend(range(first, b, t))
+    cuts.append(b)
+    return cuts
+
+
+def _ref_split_space(cuts_per_dim):
+    outer_first = cuts_per_dim[::-1]
+    los = itertools.product(*(cuts[:-1] for cuts in outer_first))
+    his = itertools.product(*(cuts[1:] for cuts in outer_first))
+    return [IndexSpace(lo[::-1], hi[::-1]) for lo, hi in zip(los, his)]
+
+
+class ReferencePlan:
+    """The engine's earlier cutting route, kept as the reference: each level
+    cut on its own (every tile re-cut into slices) into checked IndexSpaces
+    by a cutter over per-dimension cut lists."""
+
+    def __init__(self, space, params, cutter=_ref_split_space):
+        self.space, self.params, self.cutter = space, params, cutter
+
+    def blocks(self):
+        return self._even(self.space, self.params.coarse_split)
+
+    def tiles(self, block):
+        return self.cutter([_ref_grid_cuts(a, b, t) for a, b, t in zip(block.lo, block.hi, self.params.tile_size)])
+
+    def slices(self, tile):
+        return self._even(tile, self.params.fine_split)
+
+    def _even(self, space, split):
+        units = [self.params.vector_width] + [1] * (space.dim - 1)
+        return self.cutter([_ref_even_cuts(a, b, n, u) for a, b, n, u in zip(space.lo, space.hi, split, units)])
+
+    def pieces(self):
+        for block in self.blocks():
+            for tile in self.tiles(block):
+                yield from self.slices(tile)
+
+
+def random_plan_args(rng, lanes=(1, 2, 4, 8)):
+    """A space of 1-3 dims (negative lows, empty dimensions) and positive params."""
+    d = rng.choice([1, 2, 3])
+    lo = tuple(rng.randint(-9, 9) for _ in range(d))
+    ext = tuple(rng.randint(0, 20) for _ in range(d))
+    p = ExecParams(
+        tuple(rng.randint(1, 4) for _ in range(d)),
+        tuple(rng.randint(1, 12) for _ in range(d)),
+        tuple(rng.randint(1, 3) for _ in range(d)),
+        rng.choice(lanes),
+    )
+    return IndexSpace(lo, tuple(l + e for l, e in zip(lo, ext))), p
 
 
 def assert_partition(parent, children):
@@ -99,22 +167,78 @@ class TestBuildPlan:
         assert build_plan(space, p) == build_plan(space, p)
         assert list(build_plan(space, p).pieces()) == list(build_plan(space, p).pieces())
 
-    def test_pieces_match_prefix_cutter(self, rng, monkeypatch):
-        plans = []
+    def test_pieces_match_prefix_cutter(self, rng):
         for _ in range(300):
-            d = rng.choice([1, 2, 3])
-            lo = tuple(rng.randint(-9, 9) for _ in range(d))
-            ext = tuple(rng.randint(0, 20) for _ in range(d))
-            p = ExecParams(
-                tuple(rng.randint(1, 4) for _ in range(d)),
-                tuple(rng.randint(1, 12) for _ in range(d)),
-                tuple(rng.randint(1, 3) for _ in range(d)),
-                rng.choice([1, 2, 4, 8]),
-            )
-            plans.append(build_plan(IndexSpace(lo, tuple(l + e for l, e in zip(lo, ext))), p))
-        pieces = [list(plan.pieces()) for plan in plans]
-        monkeypatch.setattr(traverse, "_split_space", prefix_split)
-        assert [list(plan.pieces()) for plan in plans] == pieces
+            space, p = random_plan_args(rng)
+            assert list(build_plan(space, p).pieces()) == list(ReferencePlan(space, p, prefix_split).pieces())
+
+    def test_cuts_match_reference_route(self, rng):
+        empty_dims = 0
+        for _ in range(320):
+            space, p = random_plan_args(rng, lanes=range(1, 9))
+            empty_dims += space.volume() == 0
+            plan, ref = build_plan(space, p), ReferencePlan(space, p)
+            blocks = ref.blocks()
+            assert plan.blocks() == blocks
+            for block in blocks:
+                tiles = ref.tiles(block)
+                assert plan.tiles(block) == tiles
+                for tile in tiles:
+                    assert plan.slices(tile) == ref.slices(tile)
+            assert list(plan.pieces()) == list(ref.pieces())
+        assert empty_dims > 10
+
+    def test_zero_dimensional_space_is_one_piece(self):
+        plan = build_plan(IndexSpace((), ()), ExecParams((), (), (), 1))
+        assert list(plan.pieces()) == [IndexSpace((), ())]
+
+    @pytest.mark.parametrize("params", [
+        ExecParams((2,), (16,), (1,), 0),
+        ExecParams((2,), (16,), (1,), -4),
+        ExecParams((0,), (16,), (1,), 4),
+        ExecParams((-1,), (16,), (1,), 4),
+        ExecParams((2,), (0,), (1,), 4),
+        ExecParams((2,), (-8,), (1,), 4),
+        ExecParams((2,), (16,), (0,), 4),
+        ExecParams((2,), (16,), (-2,), 4),
+        ExecParams((1, 0), (4, 4), (1, 1), 4),
+        ExecParams((1, 1), (4, 0), (1, 1), 4),
+        ExecParams((1, 1), (4, 4), (0, 1), 4),
+    ])
+    def test_non_positive_params_rejected(self, params):
+        with pytest.raises(UsageError):
+            build_plan(IndexSpace((0,) * len(params.tile_size), (8,) * len(params.tile_size)), params)
+
+    def test_every_valid_param_builds(self):
+        for ext in [(7,), (12, 5), (9, 6, 4)]:
+            setup = LoopSetup("v", ext, "vector", 2, 2)
+            params = enumerate_valid_params(setup, TopologyConfig(n_coarse_threads=2, n_fine_threads=2, lane_width=4))
+            assert params
+            for p in params:
+                build_plan(IndexSpace((0,) * len(ext), ext), p)
+
+    def test_checks_once_per_plan(self, monkeypatch):
+        space = IndexSpace((0, 0, 0), (62, 62, 62))
+        plan = build_plan(space, ExecParams((1, 1, 1), (4, 1, 1), (1, 1, 1), 4))
+        checks = []
+        real_check = IndexSpace.__post_init__
+
+        def counting_check(s):
+            checks.append(s)
+            real_check(s)
+
+        monkeypatch.setattr(IndexSpace, "__post_init__", counting_check)
+        ran = []
+        execute_plan(plan, ran.append, 1, 2)
+        assert len(ran) == 61_504
+        assert all(type(piece) is IndexSpace for piece in ran[::997])
+        assert len(checks) <= 2
+        n_checks = len(checks)
+        with pytest.raises(UsageError):
+            IndexSpace((0,), (-1,))
+        with pytest.raises(UsageError):
+            IndexSpace((0,), (1, 2))
+        assert len(checks) == n_checks + 2
 
     def test_randomized_partition_exactness(self, rng):
         topo = TopologyConfig(n_coarse_threads=4, n_fine_threads=2, lane_width=4)
@@ -314,6 +438,56 @@ class TestExecuteThreads:
         assert set(threading.enumerate()) == before
 
 
+@pytest.mark.parametrize("n_coarse, n_fine", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_execute_hands_kernel_reference_pieces(rng, n_coarse, n_fine):
+    """Every reference piece reaches the kernel once, and within each block
+    fine worker f runs slices f::n_fine of every tile, in tile order."""
+    for _ in range(40):
+        space, p = random_plan_args(rng, lanes=range(1, 9))
+        ref = ReferencePlan(space, p)
+        block_of = {piece: i for i, b in enumerate(ref.blocks()) for t in ref.tiles(b) for piece in ref.slices(t)}
+        ran = []
+        execute_plan(build_plan(space, p), lambda piece: ran.append((piece, threading.current_thread())), n_coarse, n_fine)
+        assert Counter(piece for piece, _ in ran) == Counter(ref.pieces())
+        assert len(ran) == len(block_of)
+        runs = defaultdict(list)
+        for piece, thread in ran:
+            runs[block_of[piece], thread].append(piece)
+        key = lambda seq: [(s.lo, s.hi) for s in seq]
+        for i, block in enumerate(ref.blocks()):
+            tiles = [ref.slices(t) for t in ref.tiles(block)]
+            expected = [[s for slices in tiles for s in slices[f::n_fine]] for f in range(n_fine)]
+            got = [seq for (j, _), seq in runs.items() if j == i]
+            assert sorted(got, key=key) == sorted((seq for seq in expected if seq), key=key)
+
+
+@pytest.mark.parametrize("n_coarse, n_fine", [(3, 1), (1, 3)])
+def test_refused_thread_start_propagates_after_join(monkeypatch, n_coarse, n_fine):
+    """The second Thread.start of a group fails, as when the OS refuses a
+    thread: the error reaches the caller once the first thread has ended."""
+    before = set(threading.enumerate())
+    started = []
+    real_start = threading.Thread.start
+
+    def refusing_start(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", refusing_start)
+
+    def slow(piece):
+        time.sleep(0.02)
+
+    plan = build_plan(IndexSpace((0, 0), (16, 16)), ExecParams((2, 1), (8, 8), (1, 3), 4))
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        execute_plan(plan, slow, n_coarse, n_fine)
+    assert len(started) == 1
+    assert not started[0].is_alive()
+    assert set(threading.enumerate()) == before
+
+
 class TestRunStatic:
     def test_even_split_correct(self):
         n = 100
@@ -330,6 +504,14 @@ class TestRunStatic:
         space = IndexSpace((-5, -3, -7), (4, 6, 2))
         executed = []
         run_static(space, executed.append, 3)
+        assert_partition(space, executed)
+
+    @pytest.mark.parametrize("lo, hi", [((0,), (0,)), ((-3, 0), (5, 2)), ((2, 0, -4), (9, 3, 0))])
+    @pytest.mark.parametrize("n_threads", [0, 1, 3])
+    def test_builds_for_any_space(self, lo, hi, n_threads):
+        space = IndexSpace(lo, hi)
+        executed = []
+        run_static(space, executed.append, n_threads)
         assert_partition(space, executed)
 
     def test_one_thread_starts_none(self, thread_starts):
