@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mod
 
 from .lattice import BBox, Point, ResourceError, Stride, UsageError
 
@@ -35,6 +36,8 @@ class PointSet:
     @staticmethod
     def empty(dim: int, stride: Stride | None = None) -> "PointSet":
         stride = stride if stride is not None else Stride.ones(dim)
+        if stride.dim != dim:
+            raise UsageError("stride dimension disagrees with set dimension")
         return PointSet(dim, stride, Point.zero(dim), frozenset())
 
     @staticmethod
@@ -46,7 +49,19 @@ class PointSet:
                 raise UsageError("cannot infer dimension of an empty box list")
             return PointSet.empty(dim, stride)
         first = live[0]
-        total = sum(b.point_count() for b in live)
+        if dim is not None and first.dim != dim:
+            raise UsageError(f"dimension mismatch: boxes are {first.dim}d, requested {dim}d")
+        steps = first.stride.steps
+        if stride is not None and stride.steps != steps:
+            raise UsageError("stride mismatch between boxes and requested stride")
+        off = tuple(map(mod, first.lower.coords, steps))
+        total = 0
+        for b in live:  # the tree's entry checks, in the one pass over the boxes
+            if b.stride.steps != steps:
+                raise UsageError("boxes of mixed dimension" if b.dim != first.dim else "boxes of mixed stride")
+            if tuple(map(mod, b.lower.coords, steps)) != off:
+                raise UsageError("boxes on different sub-lattices")
+            total += b.point_count()
         if total > cap:
             raise ResourceError(f"oracle point budget exceeded: {total} > {cap}")
         pts = frozenset(itertools.chain.from_iterable(
@@ -56,8 +71,7 @@ class PointSet:
             ])
             for b in live
         ))
-        off = Point(tuple(l % s for l, s in zip(first.lower.coords, first.stride.steps)))
-        return _wrap(first.dim, first.stride, off, pts)
+        return _wrap(first.dim, first.stride, Point(off), pts)
 
     def op(self, name: str, other: "PointSet") -> "PointSet":
         if name not in _SET_OPS:

@@ -231,8 +231,9 @@ def run_static(space: IndexSpace, kernel: Kernel, n_threads: int) -> float:
     no tiling, no tuning.  Returns elapsed seconds."""
     n = max(1, n_threads)
     ones = (1,) * space.dim
-    # tiles as large as the upper bounds: no tile cut in a nonnegative space
-    params = ExecParams(ones[1:] + (n,), tuple(max(1, h) for h in space.hi), ones, 1)
+    # tiles are cut at absolute multiples of their size, so max(-lo, hi) leaves at most one cut, at 0
+    tile = tuple(max(1, -l, h) for l, h in zip(space.lo, space.hi))
+    params = ExecParams(ones[1:] + (n,), tile, ones, 1)
     start = time.perf_counter()
     execute_plan(build_plan(space, params), kernel, n, 1)
     return time.perf_counter() - start

@@ -295,7 +295,11 @@ def _prime_factors(n: int) -> list[int]:
 
 def neighbors(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> list[ExecParams]:
     """All settings one move away: double/halve one tile dimension, or move
-    one prime factor of a thread split between two dimensions."""
+    one prime factor of a thread split between two dimensions.
+
+    Only p is checked: every such move of a valid setting is valid.
+    """
+    check_params(p, setup, topo)
     d = setup.dim
     unit = _inner_unit(setup, topo)
     out: list[ExecParams] = []
@@ -313,16 +317,7 @@ def neighbors(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> list[Exe
     out.extend(_split_moves(p, setup, coarse=True))
     out.extend(_split_moves(p, setup, coarse=False))
 
-    seen, uniq = {p}, []
-    for q in out:
-        if q not in seen:
-            try:
-                check_params(q, setup, topo)
-            except UsageError:
-                continue
-            seen.add(q)
-            uniq.append(q)
-    return uniq
+    return [q for q in dict.fromkeys(out) if q != p]
 
 
 def _set(t: tuple[int, ...], i: int, v: int) -> tuple[int, ...]:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from stencilrt.bboxset import BBoxSet
-from stencilrt.lattice import BBox, Point, ResourceError, Stride, point, stride
+from stencilrt.lattice import BBox, Point, ResourceError, Stride, UsageError, point, stride
 from stencilrt.oracle import PointSet, oracle_from_bboxset, oracle_to_bboxset
 
 
@@ -54,6 +54,27 @@ class TestConversions:
         big = BBox(point(0, 0, 0), point(199, 199, 199), stride(1, 1, 1))
         with pytest.raises(ResourceError):
             PointSet.from_bboxes([big], cap=10**6)
+
+
+_B11 = BBox(point(0, 0), point(2, 2), stride(1, 1))
+_B21 = BBox(point(0, 0), point(4, 2), stride(2, 1))
+
+
+@pytest.mark.parametrize("boxes, kwargs, message", [
+    ([_B11], dict(dim=3), "dimension mismatch"),
+    ([_B11], dict(stride=stride(2, 1)), "stride mismatch"),
+    ([_B11, BBox(point(0), point(2), stride(1))], {}, "mixed dimension"),
+    ([_B11, _B21], {}, "mixed stride"),                                   # would hold odd points
+    ([_B21, BBox(point(1, 0), point(5, 2), stride(2, 1))], {}, "different sub-lattices"),
+    ([], dict(dim=2, stride=stride(1, 1, 1)), "stride dimension"),
+])
+def test_from_bboxes_rejects_what_the_tree_rejects(boxes, kwargs, message):
+    """The oracle's entry check raises the tree's UsageError, word for word."""
+    with pytest.raises(UsageError, match=message) as tree_err:
+        BBoxSet.from_bboxes(boxes, **kwargs)
+    with pytest.raises(UsageError, match=message) as oracle_err:
+        PointSet.from_bboxes(boxes, **kwargs)
+    assert str(oracle_err.value) == str(tree_err.value)
 
 
 def test_op_equivalence_randomized(rng):

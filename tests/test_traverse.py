@@ -514,6 +514,19 @@ class TestRunStatic:
         run_static(space, executed.append, n_threads)
         assert_partition(space, executed)
 
+    @pytest.mark.parametrize("lo, hi, n_pieces", [
+        ((-64,) * 3, (0,) * 3, 2),      # one tile per block, not one per point
+        ((-64,) * 3, (-10,) * 3, 2),
+        ((-32,) * 3, (32,) * 3, 8),     # the only tile cut is at 0
+        ((0,) * 3, (64,) * 3, 2),
+    ])
+    def test_tile_cut_only_at_zero(self, lo, hi, n_pieces):
+        space = IndexSpace(lo, hi)
+        executed = []
+        run_static(space, executed.append, 2)
+        assert len(executed) == n_pieces
+        assert sum(p.volume() for p in executed) == space.volume()
+
     def test_one_thread_starts_none(self, thread_starts):
         executed = []
         run_static(IndexSpace((0, 0), (9, 9)), executed.append, 1)

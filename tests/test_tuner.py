@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -190,6 +191,70 @@ class TestNeighbors:
             p = random_params(SETUP3D, TOPO4, rng)
             for q in neighbors(p, SETUP3D, TOPO4):
                 check_params(q, SETUP3D, TOPO4)
+
+
+def ref_neighbors(p, setup, topo):
+    """The earlier route: every candidate checked, first occurrences kept."""
+    unit = tuner._inner_unit(setup, topo)
+    out = []
+    for i in range(setup.dim):
+        lo = unit if i == 0 else 1
+        e = setup.extents[i]
+        t = p.tile_size[i]
+        if t < e:
+            out.append(replace(p, tile_size=tuner._set(p.tile_size, i, min(t * 2, e))))
+        down = max(lo, ((t // 2) // lo) * lo)
+        if down < t:
+            out.append(replace(p, tile_size=tuner._set(p.tile_size, i, down)))
+    out.extend(tuner._split_moves(p, setup, coarse=True))
+    out.extend(tuner._split_moves(p, setup, coarse=False))
+    seen, uniq = {p}, []
+    for q in out:
+        if q not in seen:
+            try:
+                check_params(q, setup, topo)
+            except UsageError:
+                continue
+            seen.add(q)
+            uniq.append(q)
+    return uniq
+
+
+def test_neighbors_match_checked_reference():
+    """Identical lists on random (setup, params) pairs: 1-4 dims, any extents,
+    both alignment classes, lane widths 1-8; params drawn from the enumeration,
+    the heuristic start and short walks from it."""
+    rng = random.Random(80_003)
+    pairs = 0
+    while pairs < 1200:
+        d = rng.randint(1, 4)
+        nc, nf = rng.choice([1, 2, 3, 4, 6]), rng.choice([1, 2, 3])
+        setup = LoopSetup("n", tuple(rng.randint(1, 70) for _ in range(d)),
+                          rng.choice(["vector", "cache_line"]), nc, nf)
+        topo = TopologyConfig(n_coarse_threads=nc, n_fine_threads=nf, lane_width=rng.choice([1, 2, 4, 8]),
+                              cache_line_bytes=rng.choice([32, 64, 128]))
+        p = rng.choice([random_params(setup, topo, rng), params_initial(setup, topo)])
+        for _ in range(4):
+            ref = ref_neighbors(p, setup, topo)
+            assert neighbors(p, setup, topo) == ref, (setup, topo, p)
+            pairs += 1
+            if not ref:
+                break
+            p = rng.choice(ref)
+
+
+@pytest.mark.parametrize("bad", [
+    ExecParams((1, 2, 2), (8, 8, 8), (1, 1, 1), 8),     # vector width
+    ExecParams((1, 2, 1), (8, 8, 8), (1, 1, 1), 4),     # coarse split product
+    ExecParams((1, 2, 2), (8, 8, 8), (1, 2, 1), 4),     # fine split product
+    ExecParams((1, 2, 2), (0, 8, 8), (1, 1, 1), 4),     # tile below 1
+    ExecParams((1, 2, 2), (8, 65, 8), (1, 1, 1), 4),    # tile beyond the extent
+    ExecParams((1, 2, 2), (6, 8, 8), (1, 1, 1), 4),     # innermost tile off the lane grid
+    ExecParams((2, 2), (8, 8), (1, 1), 4),              # dimension
+])
+def test_neighbors_reject_invalid_params(bad):
+    with pytest.raises(UsageError):
+        neighbors(bad, SETUP3D, TOPO4)
 
 
 class TestRecordTiming:
