@@ -15,10 +15,11 @@ any dimension.
 Operations linear over xor (shift, refine, coarsen, symmetric difference)
 are structural passes over the toggles.  Union, intersection and difference
 run the sweep: advance over the merged toggle coordinates of both operands,
-reconstruct the running operand slices by xor-accumulation, re-evaluate the
-operation on the slices, and store the change of the result slice.  Expand
-is a window sweep over grown runs: each run's slice is dilated, its span
-grown, and the union of the spans covering each coordinate is tracked.
+reconstruct the running operand slices by xor-accumulation, and store each
+change of the result as computed from that coordinate's operand toggles
+against the other operand's slice, never from the whole result slice.
+Expand is one union of grown runs: each run's slice is dilated and its span
+grown, and the union sweep merges the overlapping pieces.
 """
 from __future__ import annotations
 
@@ -40,6 +41,14 @@ _BOOL_OPS: dict[str, Callable[[bool, bool], bool]] = {
 }
 
 SET_OPS = tuple(_BOOL_OPS)
+
+# (op for an A toggle against B's slice, op for a B toggle against A's): the
+# points of the toggle where the result flips with that operand's membership
+_DELTA_OPS = {
+    UNION: (DIFFERENCE, DIFFERENCE),
+    INTERSECTION: (INTERSECTION, INTERSECTION),
+    DIFFERENCE: (DIFFERENCE, INTERSECTION),
+}
 
 _Node = object  # bool at dim 0, tuple[(int, _Node), ...] above
 
@@ -79,60 +88,71 @@ def _xor_nodes(a: _Node, b: _Node, dim: int) -> _Node:
 
 
 def _apply_nodes(op: str, a: _Node, b: _Node, dim: int) -> _Node:
-    """The sweep: T := A (op) B by scanning merged toggle coordinates."""
+    """The sweep: T := A (op) B by scanning merged toggle coordinates.
+
+    Each stored change comes from the toggles alone: A toggling by dA with
+    B's slice fixed changes T by dA & (f(1,B) ^ f(0,B)), and B toggling by dB
+    against the updated A likewise (_DELTA_OPS).  Once either operand is
+    spent its running slice is empty, so T follows the other one's toggles."""
     if dim == 0:
         return _BOOL_OPS[op](a, b)
+    if not a or not b:
+        return _tail(op, a, b)
     if dim == 1:
         return _apply_1d(op, a, b)
     d1 = dim - 1
-    run_a = run_b = result = _empty_node(d1)
+    op_a, op_b = _DELTA_OPS[op]
+    run_a = run_b = empty = _empty_node(d1)
     out = []
     ia, ib, na, nb = 0, 0, len(a), len(b)
-    while ia < na or ib < nb:
-        if ib >= nb:
-            n = a[ia][0]
-        elif ia >= na:
-            n = b[ib][0]
-        else:
-            n = min(a[ia][0], b[ib][0])
-        if ia < na and a[ia][0] == n:
-            run_a = _xor_nodes(run_a, a[ia][1], d1)
+    while ia < na and ib < nb:
+        ka, da = a[ia]
+        kb, db = b[ib]
+        delta = empty
+        if ka <= kb:
+            delta = _apply_nodes(op_a, da, run_b, d1)
             ia += 1
-        if ib < nb and b[ib][0] == n:
-            run_b = _xor_nodes(run_b, b[ib][1], d1)
+            # the last toggle empties the running slice: no need to xor it out
+            run_a = _xor_nodes(run_a, da, d1) if ia < na else empty
+        if kb <= ka:
+            delta = _xor_nodes(delta, _apply_nodes(op_b, db, run_a, d1), d1)
             ib += 1
-        new_result = _apply_nodes(op, run_a, run_b, d1)
-        delta = _xor_nodes(new_result, result, d1)
-        result = new_result
+            run_b = _xor_nodes(run_b, db, d1) if ib < nb else empty
         if delta:
-            out.append((n, delta))
-    return tuple(out)
+            out.append((ka if ka < kb else kb, delta))
+    return tuple(out) + _tail(op, a[ia:], b[ib:])
+
+
+def _tail(op: str, a: _Node, b: _Node) -> _Node:
+    """A op B where A or B is empty: the other's toggles, A's, or none."""
+    return a + b if op == UNION else a if op == DIFFERENCE else ()
 
 
 def _apply_1d(op: str, a: _Node, b: _Node) -> _Node:
     """Dimension-1 sweep with plain parity bits (children are booleans)."""
-    f = _BOOL_OPS[op]
-    run_a = run_b = result = False
+    # a toggle flips the result where the other operand is off (DIFFERENCE)
+    # or on (INTERSECTION)
+    op_a, op_b = _DELTA_OPS[op]
+    off_a, off_b = op_a == DIFFERENCE, op_b == DIFFERENCE
+    run_a = run_b = False
     out = []
     ia, ib, na, nb = 0, 0, len(a), len(b)
-    while ia < na or ib < nb:
-        if ib >= nb:
-            n = a[ia][0]
-        elif ia >= na:
-            n = b[ib][0]
-        else:
-            n = min(a[ia][0], b[ib][0])
-        if ia < na and a[ia][0] == n:
+    while ia < na and ib < nb:
+        ka = a[ia][0]
+        kb = b[ib][0]
+        flip = False
+        if ka <= kb:
+            flip = run_b is not off_a
             run_a = not run_a
             ia += 1
-        if ib < nb and b[ib][0] == n:
+        if kb <= ka:
+            if run_a is not off_b:
+                flip = not flip
             run_b = not run_b
             ib += 1
-        new_result = f(run_a, run_b)
-        if new_result is not result:
-            out.append((n, True))
-            result = new_result
-    return tuple(out)
+        if flip:
+            out.append((ka if ka < kb else kb, True))
+    return tuple(out) + _tail(op, a[ia:], b[ib:])
 
 
 def _box_node(box: BBox, dim: int) -> _Node:
@@ -183,11 +203,11 @@ def _runs(node: _Node, dim: int) -> Iterator[tuple[int, int, _Node]]:
     """Yield (start, stop, slice) for each non-empty slice along the last axis."""
     d1 = dim - 1
     run = _empty_node(d1)
-    for j, (k, child) in enumerate(node):
-        run = _xor_nodes(run, child, d1)
+    # the last toggle closes the last run and empties the slice
+    for j in range(len(node) - 1):
+        run = _xor_nodes(run, node[j][1], d1)
         if run:
-            # even-toggle invariant guarantees a later key closes this run
-            yield k, node[j + 1][0], run
+            yield node[j][0], node[j + 1][0], run
 
 
 def _refine_node(node: _Node, dim: int, old_steps: tuple[int, ...], new_steps: tuple[int, ...]) -> _Node:
@@ -230,30 +250,16 @@ def _coarsen_node(node: _Node, dim: int, offset: tuple[int, ...], new_steps: tup
 
 def _expand_node(node: _Node, dim: int, lo: tuple[int, ...], hi: tuple[int, ...], steps: tuple[int, ...]) -> _Node:
     """Dilate by lo/hi steps: each run's slice is dilated and its span grown
-    to [start - lo*s, stop + hi*s).  Grown starts and stops stay sorted, so the
-    spans covering a coordinate are a window [i, j) of runs; sweeping the
-    window's edges stores each change of the union of its slices."""
+    to [start - lo*s, stop + hi*s); the union of the grown runs merges them."""
     if dim == 0:
         return node
     d1 = dim - 1
     down, up = lo[d1] * steps[d1], hi[d1] * steps[d1]
-    runs = [(start - down, stop + up, _expand_node(run, d1, lo, hi, steps))
-            for start, stop, run in _runs(node, dim)]
-    out = []
-    cur = _empty_node(d1)
-    i = j = 0
-    while i < len(runs):
-        x = runs[i][1] if j == len(runs) else min(runs[j][0], runs[i][1])
-        if j < len(runs) and runs[j][0] == x:
-            j += 1
-        if runs[i][1] == x:
-            i += 1
-        new = _union_all([c for _, _, c in runs[i:j]], d1) if i < j else _empty_node(d1)
-        delta = _xor_nodes(new, cur, d1)
-        if delta:
-            out.append((x, delta))
-        cur = new
-    return tuple(out)
+    grown = []
+    for start, stop, run in _runs(node, dim):
+        run = _expand_node(run, d1, lo, hi, steps)
+        grown.append(((start - down, run), (stop + up, run)))
+    return _union_all(grown, dim) if grown else ()
 
 
 def _node_boxes(node: _Node, dim: int, steps: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -378,9 +384,12 @@ class BBoxSet:
     # -- set algebra -------------------------------------------------------
 
     def apply(self, op: str, other: "BBoxSet") -> "BBoxSet":
-        """Binary set operation evaluated by the dimensional-recursion sweep."""
+        """Binary set operation evaluated by the dimensional-recursion sweep
+        (xor by the structural merge)."""
         if op not in _BOOL_OPS:
             raise UsageError(f"unknown set operation {op!r}")
+        if op == XOR:
+            return self.symmetric_difference(other)
         off = _compatible(self, other)
         return _wrap(self.dim, self.stride, off, _apply_nodes(op, self.root, other.root, self.dim))
 

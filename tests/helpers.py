@@ -1,5 +1,6 @@
 """Shared generators for randomized set-algebra tests."""
 
+from stencilrt.bboxset import _BOOL_OPS, _empty_node, _xor_nodes
 from stencilrt.fuzz import random_boxes
 from stencilrt.lattice import Stride
 
@@ -13,3 +14,60 @@ def make_operands(rng, dim, hull_extent=16, max_boxes=8, steps=None):
         random_boxes(rng, hull, steps, rng.randint(0, max_boxes)),
         Stride(steps),
     )
+
+
+def reference_apply(op, a, b, dim):
+    """Reference sweep: re-evaluate A op B on the whole running slices at every
+    toggle coordinate and store the xor of the new result slice with the old."""
+    if dim == 0:
+        return _BOOL_OPS[op](a, b)
+    if dim == 1:
+        return reference_apply_1d(op, a, b)
+    d1 = dim - 1
+    run_a = run_b = result = _empty_node(d1)
+    out = []
+    ia, ib, na, nb = 0, 0, len(a), len(b)
+    while ia < na or ib < nb:
+        if ib >= nb:
+            n = a[ia][0]
+        elif ia >= na:
+            n = b[ib][0]
+        else:
+            n = min(a[ia][0], b[ib][0])
+        if ia < na and a[ia][0] == n:
+            run_a = _xor_nodes(run_a, a[ia][1], d1)
+            ia += 1
+        if ib < nb and b[ib][0] == n:
+            run_b = _xor_nodes(run_b, b[ib][1], d1)
+            ib += 1
+        new_result = reference_apply(op, run_a, run_b, d1)
+        delta = _xor_nodes(new_result, result, d1)
+        result = new_result
+        if delta:
+            out.append((n, delta))
+    return tuple(out)
+
+
+def reference_apply_1d(op, a, b):
+    f = _BOOL_OPS[op]
+    run_a = run_b = result = False
+    out = []
+    ia, ib, na, nb = 0, 0, len(a), len(b)
+    while ia < na or ib < nb:
+        if ib >= nb:
+            n = a[ia][0]
+        elif ia >= na:
+            n = b[ib][0]
+        else:
+            n = min(a[ia][0], b[ib][0])
+        if ia < na and a[ia][0] == n:
+            run_a = not run_a
+            ia += 1
+        if ib < nb and b[ib][0] == n:
+            run_b = not run_b
+            ib += 1
+        new_result = f(run_a, run_b)
+        if new_result is not result:
+            out.append((n, True))
+            result = new_result
+    return tuple(out)

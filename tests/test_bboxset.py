@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_operands
-from stencilrt.bboxset import SET_OPS, BBoxSet
+from helpers import make_operands, reference_apply
+from stencilrt.bboxset import SET_OPS, BBoxSet, _runs
 from stencilrt.lattice import BBox, Point, Stride, UsageError, point, stride
 from stencilrt.oracle import PointSet, oracle_from_bboxset
 
@@ -106,6 +106,41 @@ class TestApplyBinary:
             r.apply("nand", r)
 
 
+def _far_box(steps, anchor, distance):
+    """A one-point box `distance` strides from the anchor along the last axis."""
+    lo = anchor[:-1] + (anchor[-1] + distance * steps[-1],)
+    return BBoxSet.from_bboxes([BBox(Point(lo), Point(lo), Stride(steps))])
+
+
+class TestDeltaSweep:
+    def test_matches_reference_sweep(self, rng):
+        """Every op gives the very tree the full-slice sweep builds, including
+        empty operands, an operand applied to itself and operands of which
+        one runs out of toggles long before the other."""
+        for k in range(480):
+            dim = rng.randint(1, 4)
+            steps = tuple(rng.randint(1, 3) for _ in range(dim))
+            anchor = tuple(rng.randrange(s) for s in steps)
+            r = _random_set(rng, dim, steps, anchor)
+            s = _random_set(rng, dim, steps, anchor)
+            case = k % 8
+            if case == 0:
+                r = BBoxSet.empty(dim, Stride(steps))
+            elif case == 1:
+                s = BBoxSet.empty(dim, Stride(steps))
+            elif case == 2:
+                s = r
+            elif case == 3:
+                s = s | _far_box(steps, anchor, 60)
+            elif case == 4:
+                r = r | _far_box(steps, anchor, -60)
+            elif case == 5:
+                s = s.shift(Point((0,) * (dim - 1) + (40 * steps[-1],)))
+            for op in SET_OPS:
+                want = reference_apply(op, r.root, s.root, dim)
+                assert r.apply(op, s).root == want, (k, op)
+
+
 class TestSymmetricDifference:
     def test_self_inverse(self):
         r = lshape()
@@ -125,6 +160,7 @@ class TestSymmetricDifference:
             fast = r.symmetric_difference(s)
             sweep = r.apply("xor", s)
             assert fast == sweep
+            assert fast.root == reference_apply("xor", r.root, s.root, dim)
             a = PointSet.from_bboxes(boxes_r, dim=dim, stride=steps)
             b = PointSet.from_bboxes(boxes_s, dim=dim, stride=steps)
             assert oracle_from_bboxset(fast).points == a.symmetric_difference(b).points
@@ -152,15 +188,36 @@ def _box_route_expand(r, lo, hi):
     return BBoxSet.from_bboxes([b.expand(lo, hi) for b in r.to_bboxes()], dim=r.dim, stride=r.stride)
 
 
-def _random_set(rng, dim, steps):
-    """Up to five boxes on a random anchor of the lattice, corners possibly negative."""
-    anchor = tuple(rng.randrange(s) for s in steps)
+def _random_set(rng, dim, steps, anchor=None):
+    """Up to five boxes on a random (or the given) anchor of the lattice,
+    corners possibly negative."""
+    if anchor is None:
+        anchor = tuple(rng.randrange(s) for s in steps)
     boxes = []
     for _ in range(rng.randint(0, 5)):
         lo = tuple(a + s * rng.randint(-4, 3) for a, s in zip(anchor, steps))
         up = tuple(l + s * rng.randint(0, 4) for l, s in zip(lo, steps))
         boxes.append(BBox(Point(lo), Point(up), Stride(steps)))
     return BBoxSet.from_bboxes(boxes, dim=dim, stride=Stride(steps))
+
+
+def _close_slabs(rng):
+    """One-layer slabs one stride apart along the last axis, with growth of at
+    least four strides there, so that each grown run overlaps those two and
+    more places away, not only its neighbours'."""
+    dim = rng.randint(1, 4)
+    steps = tuple(rng.randint(1, 3) for _ in range(dim))
+    anchor = tuple(rng.randrange(s) for s in steps)
+    boxes = []
+    for j in range(rng.randint(3, 6)):
+        z = anchor[-1] + 2 * j * steps[-1]
+        for _ in range(rng.randint(1, 2)):
+            lo = tuple(a + s * rng.randint(-3, 3) for a, s in zip(anchor[:-1], steps)) + (z,)
+            up = tuple(l + s * rng.randint(0, 3) for l, s in zip(lo[:-1], steps)) + (z,)
+            boxes.append(BBox(Point(lo), Point(up), Stride(steps)))
+    lo = Point(tuple(rng.randint(0, 3) for _ in range(dim - 1)) + (rng.randint(2, 3),))
+    hi = Point(tuple(rng.randint(0, 3) for _ in range(dim - 1)) + (rng.randint(2, 3),))
+    return BBoxSet.from_bboxes(boxes), lo, hi
 
 
 class TestExpand:
@@ -177,13 +234,22 @@ class TestExpand:
         assert r.expand(point(1), point(1)).to_bboxes() == [BBox(point(-1), point(4), stride(1))]
 
     def test_expand_matches_box_route(self, rng):
-        """The window sweep gives the very tree the box route builds (trees are canonical)."""
+        """The union of grown runs gives the very tree the box route builds
+        (trees are canonical), also where grown runs overlap beyond their
+        neighbours."""
         for k in range(320):
             dim = rng.randint(1, 4)
             steps = tuple(rng.randint(1, 3) for _ in range(dim))
             r = BBoxSet.empty(dim, Stride(steps)) if k % 40 == 0 else _random_set(rng, dim, steps)
             lo = Point(tuple(rng.randint(0, 3) for _ in range(dim)))
             hi = Point(tuple(rng.randint(0, 3) for _ in range(dim)))
+            got, want = r.expand(lo, hi), _box_route_expand(r, lo, hi)
+            assert (got.root, got.stride, got.offset) == (want.root, want.stride, want.offset)
+        for _ in range(50):
+            r, lo, hi = _close_slabs(rng)
+            runs = list(_runs(r.root, r.dim))
+            down, up = lo.coords[-1] * r.stride.steps[-1], hi.coords[-1] * r.stride.steps[-1]
+            assert all(runs[i + 2][0] - down < runs[i][1] + up for i in range(len(runs) - 2))
             got, want = r.expand(lo, hi), _box_route_expand(r, lo, hi)
             assert (got.root, got.stride, got.offset) == (want.root, want.stride, want.offset)
 
