@@ -254,7 +254,7 @@ def parse_bbox(text: str) -> BBox:
         raise UsageError(f"malformed bbox text: {text!r}")
     body = t[1:-1].strip()
     if body.startswith("empty/"):
-        return BBox.empty(int(body[len("empty/"):]))
+        return BBox.empty(_parse_int(body[len("empty/"):], text))
     lo, up, st = [], [], []
     for part in body.split(","):
         p = part.strip()
@@ -263,8 +263,15 @@ def parse_bbox(text: str) -> BBox:
         fields = p[1:-1].split(":")
         if len(fields) != 3:
             raise UsageError(f"malformed bbox component: {part!r}")
-        l, u, s = (int(f) for f in fields)
+        l, u, s = (_parse_int(f, text) for f in fields)
         lo.append(l)
         up.append(u)
         st.append(s)
     return BBox(Point(tuple(lo)), Point(tuple(up)), Stride(tuple(st)))
+
+
+def _parse_int(field: str, text: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise UsageError(f"malformed bbox text: {text!r}") from None

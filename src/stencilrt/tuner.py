@@ -3,7 +3,7 @@
 Each loop setup (source site + index-space extents + alignment + thread
 counts) is optimized independently.  The tuner hands out execution parameters
 (coarse-thread split, tile sizes, fine-thread split, vector width), receives
-wall-clock measurements, and walks the parameter space:
+wall-clock measurements, and walks the one space enumerate_valid_params lists:
 
 * hill climbing: measure the neighbors of the best known setting one at a
   time, recentering whenever one improves on the best median;
@@ -23,8 +23,9 @@ import itertools
 import math
 import random
 import statistics
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .lattice import UsageError
@@ -51,15 +52,8 @@ class TopologyConfig:
     abort_factor: float = 1.5
     rng_seed: int = 12345
 
-    _INT_KEYS = ("cache_size_bytes", "cache_line_bytes", "n_coarse_threads",
-                 "n_fine_threads", "lane_width", "rng_seed")
-    _FLOAT_KEYS = ("p_restart", "abort_factor")
-
     def __post_init__(self) -> None:
-        if self.n_coarse_threads < 1 or self.n_fine_threads < 1:
-            raise UsageError("thread counts must be at least 1")
-        if self.n_coarse_threads * self.n_fine_threads > MAX_THREADS:
-            raise UsageError(f"coarse x fine threads must not exceed {MAX_THREADS}")
+        _check_threads(self.n_coarse_threads, self.n_fine_threads)
         _check_width(self.lane_width)
         if not 0 <= self.p_restart <= 1:
             raise UsageError(f"p_restart must lie in [0, 1]: {self.p_restart}")
@@ -74,6 +68,7 @@ class TopologyConfig:
             text = Path(path).read_text()
         except OSError as exc:
             raise UsageError(f"cannot read topology file: {exc}") from exc
+        parsers = {f.name: type(f.default) for f in fields(TopologyConfig)}
         values = {}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -82,11 +77,8 @@ class TopologyConfig:
             if "=" not in line:
                 raise UsageError(f"malformed topology line: {raw!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key in TopologyConfig._INT_KEYS:
-                parse = int
-            elif key in TopologyConfig._FLOAT_KEYS:
-                parse = float
-            else:
+            parse = parsers.get(key)
+            if parse is None:
                 raise UsageError(f"unknown topology key: {key}")
             try:
                 values[key] = parse(val)
@@ -97,6 +89,13 @@ class TopologyConfig:
     @property
     def cache_line_elems(self) -> int:
         return max(1, self.cache_line_bytes // 8)
+
+
+def _check_threads(n_coarse: int, n_fine: int) -> None:
+    if n_coarse < 1 or n_fine < 1:
+        raise UsageError(f"thread counts must be at least 1: {n_coarse}, {n_fine}")
+    if n_coarse * n_fine > MAX_THREADS:
+        raise UsageError(f"coarse x fine threads must not exceed {MAX_THREADS}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,9 @@ class LoopSetup:
     n_fine_threads: int = 1
 
     def __post_init__(self) -> None:
-        if any(e <= 0 for e in self.extents):
-            raise UsageError(f"extents must be positive: {self.extents}")
+        if not self.extents or any(e <= 0 for e in self.extents):
+            raise UsageError(f"extents must be a non-empty tuple of positive sizes: {self.extents}")
+        _check_threads(self.n_coarse_threads, self.n_fine_threads)
         if self.alignment not in ("vector", "cache_line"):
             raise UsageError(f"unknown alignment class {self.alignment!r}")
 
@@ -199,8 +199,10 @@ def _split_domain(threads: int, setup: LoopSetup) -> list[tuple[int, ...]]:
 
 
 def enumerate_valid_params(setup: LoopSetup, topo: TopologyConfig) -> list[ExecParams]:
-    """The full tunable space for a setup (used for random draws and for
-    exhaustively locating the optimum of synthetic surfaces)."""
+    """The tuner's one space for a setup: every tile in its axis's
+    _tile_domain, every split in _split_domain.  The start point, each climb
+    move and each random restart lie in it, so exhaustive optima over it cover
+    whatever the tuner can pick."""
     coarse = _split_domain(setup.n_coarse_threads, setup)
     fine = _split_domain(setup.n_fine_threads, setup)
     tiles = itertools.product(*(_tile_domain(setup, topo, axis) for axis in range(setup.dim)))
@@ -209,61 +211,54 @@ def enumerate_valid_params(setup: LoopSetup, topo: TopologyConfig) -> list[ExecP
 
 
 def random_params(setup: LoopSetup, topo: TopologyConfig, rng: random.Random) -> ExecParams:
-    """Uniform draw from the valid parameter space."""
-    d = setup.dim
+    """Uniform draw from the enumerated space."""
     coarse = _split_domain(setup.n_coarse_threads, setup)
     fine = _split_domain(setup.n_fine_threads, setup)
-    tile = tuple(rng.choice(_tile_domain(setup, topo, axis)) for axis in range(d))
+    tile = tuple(rng.choice(_tile_domain(setup, topo, axis)) for axis in range(setup.dim))
     return ExecParams(rng.choice(coarse), tile, rng.choice(fine), topo.lane_width)
 
 
 def params_initial(setup: LoopSetup, topo: TopologyConfig) -> ExecParams:
-    """Deterministic heuristic starting point.
+    """Deterministic heuristic starting point, a member of the enumerated space.
 
-    Coarse threads split outer dimensions, balancing block volumes; tiles
-    start at the block shape and halve outer dimensions until the working set
-    is roughly half the target cache; the innermost tile stays a multiple of
-    the alignment unit (and at least 2W) unless the extent itself is smaller.
+    Coarse threads split the dimensions, balancing block volumes.  Each tile
+    starts at its domain's largest size within the block, the innermost at
+    least at the first size >= 2W.  The largest outer tile then steps down its
+    domain until the working set is at most half the target cache, the
+    innermost only as a last resort and never below that floor.
     """
-    d = setup.dim
-    ext = setup.extents
-    w = topo.lane_width
-    unit = _inner_unit(setup, topo)
+    coarse = _initial_split(setup.n_coarse_threads, setup.extents, setup)
+    domains = [_tile_domain(setup, topo, axis) for axis in range(setup.dim)]
+    blocks = [max(1, -(-e // c)) for e, c in zip(setup.extents, coarse)]
+    k = [max(0, bisect_right(dom, b) - 1) for dom, b in zip(domains, blocks)]
+    floor = min(bisect_left(domains[0], 2 * topo.lane_width), len(domains[0]) - 1)
+    k[0] = max(k[0], floor)
 
-    coarse = _greedy_split(setup.n_coarse_threads, ext)
-    block = [max(1, -(-e // c)) for e, c in zip(ext, coarse)]
-
-    tile = list(block)
-    tile[0] = _round_inner(block[0], ext[0], unit, 2 * w)
     target = max(1, topo.cache_size_bytes // 16)  # half the cache, in doubles
-    while math.prod(tile) > target:
-        # halve the largest outer dimension first; the inner tile only as a last resort
-        outer = [(tile[i], i) for i in range(1, d) if tile[i] > 1]
+    while math.prod(dom[j] for dom, j in zip(domains, k)) > target:
+        outer = [(domains[i][k[i]], i) for i in range(1, setup.dim) if k[i] > 0]
         if outer:
-            _, i = max(outer)
-            tile[i] = max(1, tile[i] // 2)
-        elif tile[0] > max(unit, 2 * w) and tile[0] % (2 * unit) == 0:
-            tile[0] //= 2
+            k[max(outer)[1]] -= 1
+        elif k[0] > floor:
+            k[0] -= 1
         else:
             break
-    tile[0] = _round_inner(tile[0], ext[0], unit, 2 * w)
 
-    fine = _greedy_split(setup.n_fine_threads, tuple(tile))
-    return ExecParams(tuple(coarse), tuple(tile), tuple(fine), w)
-
-
-def _round_inner(t: int, extent: int, unit: int, floor: int) -> int:
-    """Snap an innermost tile size to the unit grid, at least min(floor, extent)."""
-    if extent < unit:
-        return extent
-    t = min(t, extent)
-    t = max(t, min(floor, extent))
-    if t % unit != 0 and t != extent:
-        t = max(unit, (t // unit) * unit)
-    return t
+    tile = tuple(dom[j] for dom, j in zip(domains, k))
+    fine = _initial_split(setup.n_fine_threads, tile, setup)
+    return ExecParams(coarse, tile, fine, topo.lane_width)
 
 
-def _greedy_split(threads: int, ext: tuple[int, ...]) -> list[int]:
+def _initial_split(threads: int, ext: tuple[int, ...], setup: LoopSetup) -> tuple[int, ...]:
+    """_greedy_split's split of ext when _split_domain holds it, else the domain's first."""
+    split = _greedy_split(threads, ext)
+    if all(c <= e for c, e in zip(split, setup.extents)):
+        return split  # a split that fits the extents is always in the domain
+    domain = _split_domain(threads, setup)
+    return split if split in domain else domain[0]
+
+
+def _greedy_split(threads: int, ext: tuple[int, ...]) -> tuple[int, ...]:
     """Factor a thread count over dimensions, biggest remaining extent first
     (ties go to the outermost dimension)."""
     d = len(ext)
@@ -277,7 +272,7 @@ def _greedy_split(threads: int, ext: tuple[int, ...]) -> list[int]:
         if best_i is None:
             best_i = max(range(d), key=lambda i: ext[i] / split[i])
         split[best_i] *= f
-    return split
+    return tuple(split)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -294,30 +289,26 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def neighbors(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> list[ExecParams]:
-    """All settings one move away: double/halve one tile dimension, or move
-    one prime factor of a thread split between two dimensions.
+    """All settings one move away in the enumerated space: one tile size steps
+    one place up (listed first) or down its axis's _tile_domain, or one prime
+    factor of a thread split moves between two dimensions.
 
-    Only p is checked: every such move of a valid setting is valid.
+    Only p is checked, and each of its tiles must lie in its domain; every
+    move of such a setting whose splits lie in _split_domain stays in the space.
     """
     check_params(p, setup, topo)
-    d = setup.dim
-    unit = _inner_unit(setup, topo)
     out: list[ExecParams] = []
-
-    for i in range(d):
-        lo = unit if i == 0 else 1
-        e = setup.extents[i]
-        t = p.tile_size[i]
-        if t < e:
-            out.append(replace(p, tile_size=_set(p.tile_size, i, min(t * 2, e))))
-        down = max(lo, ((t // 2) // lo) * lo)
-        if down < t:
-            out.append(replace(p, tile_size=_set(p.tile_size, i, down)))
+    for i, t in enumerate(p.tile_size):
+        domain = _tile_domain(setup, topo, i)
+        if t not in domain:
+            raise UsageError(f"tile size {t} in dim {i} is not in the tuner's domain {domain}")
+        k = domain.index(t)
+        for v in domain[k + 1:k + 2] + domain[max(0, k - 1):k]:
+            out.append(replace(p, tile_size=_set(p.tile_size, i, v)))
 
     out.extend(_split_moves(p, setup, coarse=True))
     out.extend(_split_moves(p, setup, coarse=False))
-
-    return [q for q in dict.fromkeys(out) if q != p]
+    return out
 
 
 def _set(t: tuple[int, ...], i: int, v: int) -> tuple[int, ...]:

@@ -154,6 +154,11 @@ class TestSerialization:
             with pytest.raises(UsageError):
                 parse_bbox(text)
 
+    @pytest.mark.parametrize("text", ["([a:1:1])", "([0:1:1],[0:b:1])", "(empty/x)", "(empty/)"])
+    def test_non_integer_field(self, text):
+        with pytest.raises(UsageError, match="malformed bbox text"):
+            parse_bbox(text)
+
 
 coords = st.integers(min_value=-8, max_value=8)
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -105,18 +106,57 @@ class TestParamsInitial:
         p = params_initial(setup, TopologyConfig(lane_width=4))
         assert p.tile_size[0] == 3  # whole extent, smaller than W
         check_params(p, setup, TopologyConfig(lane_width=4))
+        assert p in enumerate_valid_params(setup, TopologyConfig(lane_width=4))
 
     def test_cache_line_alignment_class(self):
         setup = LoopSetup("s", (64, 64), "cache_line", 1, 1)
         topo = TopologyConfig(lane_width=4, cache_line_bytes=64)
         p = params_initial(setup, topo)
         assert p.tile_size[0] % 8 == 0  # 64-byte lines = 8 doubles
+        assert p in enumerate_valid_params(setup, topo)
+
+    def test_non_power_of_two_extents_start_listed(self):
+        # the stencil-bench interior of a 64^3 grid on 2 coarse threads
+        setup = LoopSetup("s", (62, 62, 62), "vector", 2, 1)
+        topo = TopologyConfig(n_coarse_threads=2, lane_width=4)
+        p = params_initial(setup, topo)
+        assert p == ExecParams((1, 1, 2), (62, 16, 16), (1, 1, 1), 4)
+        assert p in enumerate_valid_params(setup, topo)
+
+    def test_inner_tile_floor_of_two_lanes(self):
+        # a 4-point block along the inner axis, and a cache too small for any tile
+        topo = TopologyConfig(n_coarse_threads=4, lane_width=4)
+        assert params_initial(LoopSetup("s", (16, 2), "vector", 4, 1), topo).tile_size == (8, 2)
+        small = TopologyConfig(lane_width=4, cache_size_bytes=64)
+        assert params_initial(LoopSetup("s", (64, 4), "vector", 1, 1), small).tile_size == (8, 1)
+
+    def test_split_outside_the_domain_falls_back(self):
+        # the greedy split of 3 fine threads over the 2x2 tile would put 3 pieces on an extent of 2
+        setup = LoopSetup("s", (2, 18), "vector", 9, 3)
+        topo = TopologyConfig(n_coarse_threads=9, n_fine_threads=3, lane_width=4)
+        p = params_initial(setup, topo)
+        assert tuner._greedy_split(3, p.tile_size) == (3, 1)
+        assert p.fine_split == (1, 3)
+        assert p in enumerate_valid_params(setup, topo)
 
 
 @pytest.mark.parametrize("alignment", ["none", "page"])
 def test_unknown_alignment_class_rejected(alignment):
     with pytest.raises(UsageError):
         LoopSetup("s", (8,), alignment)
+
+
+@pytest.mark.parametrize("extents, n_coarse, n_fine", [
+    ((), 1, 1),
+    ((8,), 0, 1),
+    ((8,), -2, 1),
+    ((8,), 1, 0),
+    ((8,), 1, -2),
+    ((8,), 8, 9),
+])
+def test_bad_loop_setup_rejected(extents, n_coarse, n_fine):
+    with pytest.raises(UsageError):
+        LoopSetup("s", extents, "vector", n_coarse, n_fine)
 
 
 def enumerate_recursive(setup, topo):
@@ -194,7 +234,9 @@ class TestNeighbors:
 
 
 def ref_neighbors(p, setup, topo):
-    """The earlier route: every candidate checked, first occurrences kept."""
+    """The earlier route: double or halve by unit arithmetic, every candidate
+    checked, first occurrences kept; halving from a whole extent that is not a
+    power-of-two multiple of the unit goes to the largest one below it."""
     unit = tuner._inner_unit(setup, topo)
     out = []
     for i in range(setup.dim):
@@ -204,6 +246,8 @@ def ref_neighbors(p, setup, topo):
         if t < e:
             out.append(replace(p, tile_size=tuner._set(p.tile_size, i, min(t * 2, e))))
         down = max(lo, ((t // 2) // lo) * lo)
+        if t == e > lo:
+            down = lo << ((e - 1) // lo).bit_length() - 1
         if down < t:
             out.append(replace(p, tile_size=tuner._set(p.tile_size, i, down)))
     out.extend(tuner._split_moves(p, setup, coarse=True))
@@ -250,11 +294,54 @@ def test_neighbors_match_checked_reference():
     ExecParams((1, 2, 2), (0, 8, 8), (1, 1, 1), 4),     # tile below 1
     ExecParams((1, 2, 2), (8, 65, 8), (1, 1, 1), 4),    # tile beyond the extent
     ExecParams((1, 2, 2), (6, 8, 8), (1, 1, 1), 4),     # innermost tile off the lane grid
+    ExecParams((1, 2, 2), (12, 8, 8), (1, 1, 1), 4),    # innermost tile on the grid, off the domain
+    ExecParams((1, 2, 2), (8, 12, 8), (1, 1, 1), 4),    # outer tile off the domain
     ExecParams((2, 2), (8, 8), (1, 1), 4),              # dimension
 ])
 def test_neighbors_reject_invalid_params(bad):
     with pytest.raises(UsageError):
         neighbors(bad, SETUP3D, TOPO4)
+
+
+def walk(setup, topo, limit=None):
+    """The start point and the settings a breadth-first walk of neighbors
+    from it reaches, stopping once limit settings are known."""
+    start = params_initial(setup, topo)
+    seen, queue = {start}, deque([start])
+    while queue and (limit is None or len(seen) < limit):
+        for q in neighbors(queue.popleft(), setup, topo):
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return start, seen
+
+
+def test_walk_reaches_exactly_the_enumeration():
+    setup = LoopSetup("s", (62, 62, 62), "vector", 2, 1)
+    topo = TopologyConfig(n_coarse_threads=2, lane_width=4)
+    _, seen = walk(setup, topo)
+    assert seen == set(enumerate_valid_params(setup, topo))
+
+
+def test_walk_stays_in_the_enumeration():
+    """On 1000 random setups (1-4 dims, extents 1-70, 1-12 coarse and 1-4 fine
+    threads, both alignment classes, lane widths 1-8) the start point and the
+    first 300 settings a walk reaches lie in the space.  Membership is judged
+    by the domains whose product enumerate_valid_params lists (the enumeration
+    order test pins that product), since the largest spaces hold ~10^6 settings."""
+    rng = random.Random(10_001)
+    for _ in range(1000):
+        d = rng.randint(1, 4)
+        nc, nf = rng.randint(1, 12), rng.randint(1, 4)
+        setup = LoopSetup("w", tuple(rng.randint(1, 70) for _ in range(d)),
+                          rng.choice(["vector", "cache_line"]), nc, nf)
+        topo = TopologyConfig(n_coarse_threads=nc, n_fine_threads=nf, lane_width=rng.choice([1, 2, 4, 8]))
+        domains = [tuner._tile_domain(setup, topo, axis) for axis in range(d)]
+        coarse, fine = tuner._split_domain(nc, setup), tuner._split_domain(nf, setup)
+        start, seen = walk(setup, topo, limit=300)
+        for q in seen:
+            assert all(t in dom for t, dom in zip(q.tile_size, domains)), (setup, topo, start, q)
+            assert q.coarse_split in coarse and q.fine_split in fine, (setup, topo, start, q)
 
 
 class TestRecordTiming:
