@@ -3,14 +3,17 @@
 A d-dimensional set is represented by its discrete derivative along the last
 axis: an ordered map from a coordinate n to the (d-1)-dimensional set that
 toggles membership AT n (membership for coordinates >= n flips).  Each toggle
-slice is itself stored the same way, down to a single boolean at dimension 0.
-The derivative of a union of a few rectangles is sparse (a box keeps only its
-2^d corners), which is what makes the whole algebra cheap.
+slice is itself stored the same way, down to dimension 1, where a slice is
+the sorted tuple of its toggle coordinates: a point x is a member when an odd
+number of them are <= x.  The derivative of a union of a few rectangles is
+sparse (a box keeps only its 2^d corners), which is what makes the whole
+algebra cheap.
 
-Internally a node is either a bool (dimension 0) or a tuple of (coordinate,
-child-node) pairs with strictly increasing coordinates and no empty children.
-An empty tuple and False are both falsy, so ``not node`` tests emptiness at
-any dimension.
+Internally a node is a tuple: at dimension 1 the strictly increasing toggle
+coordinates (k0, k1, ...), so its runs are [k0, k1), [k2, k3), ...; above,
+(coordinate, child-node) pairs with strictly increasing coordinates and no
+empty children.  The empty tuple is the empty node at every dimension, so
+``not node`` tests emptiness.
 
 Operations linear over xor (shift, refine, coarsen, symmetric difference)
 are structural passes over the toggles.  Union, intersection and difference
@@ -20,11 +23,17 @@ change of the result as computed from that coordinate's operand toggles
 against the other operand's slice, never from the whole result slice.
 Expand is one union of grown runs: each run's slice is dilated and its span
 grown, and the union sweep merges the overlapping pieces.
+
+Queries read a runs table that each set builds once, on first use, and keeps
+for its lifetime: for every node, the sorted run starts, the run stops and the
+tables of the run slices.  ``contains`` bisects down it, ``to_bboxes`` reads
+the corners from it, and ``point_count`` sums the boxes ``to_bboxes`` returns.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .lattice import BBox, Point, Stride, UsageError, format_bbox, parse_bbox
 
@@ -33,14 +42,7 @@ INTERSECTION = "intersection"
 DIFFERENCE = "difference"
 XOR = "xor"
 
-_BOOL_OPS: dict[str, Callable[[bool, bool], bool]] = {
-    UNION: lambda a, b: a or b,
-    INTERSECTION: lambda a, b: a and b,
-    DIFFERENCE: lambda a, b: a and not b,
-    XOR: lambda a, b: a is not b,
-}
-
-SET_OPS = tuple(_BOOL_OPS)
+SET_OPS = (UNION, INTERSECTION, DIFFERENCE, XOR)
 
 # (op for an A toggle against B's slice, op for a B toggle against A's): the
 # points of the toggle where the result flips with that operand's membership
@@ -50,17 +52,40 @@ _DELTA_OPS = {
     DIFFERENCE: (DIFFERENCE, INTERSECTION),
 }
 
-_Node = object  # bool at dim 0, tuple[(int, _Node), ...] above
+_Node = tuple  # (k0, k1, ...) at dim 1, ((int, _Node), ...) above
+# (starts, stops, child tables) at dim >= 2; the node itself at dim 1
+_Table = tuple
 
 
-def _empty_node(dim: int) -> _Node:
-    return False if dim == 0 else ()
+def _xor_1d(a: _Node, b: _Node) -> _Node:
+    """Merge of two coordinate tuples in which equal keys cancel."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    ia, ib, na, nb = 0, 0, len(a), len(b)
+    while ia < na and ib < nb:
+        ka = a[ia]
+        kb = b[ib]
+        if ka < kb:
+            out.append(ka)
+            ia += 1
+        elif kb < ka:
+            out.append(kb)
+            ib += 1
+        else:
+            ia += 1
+            ib += 1
+    out.extend(a[ia:])
+    out.extend(b[ib:])
+    return tuple(out)
 
 
 def _xor_nodes(a: _Node, b: _Node, dim: int) -> _Node:
     """Structural merge: symmetric difference applied directly to derivatives."""
-    if dim == 0:
-        return a is not b
+    if dim == 1:
+        return _xor_1d(a, b)
     if not a:
         return b
     if not b:
@@ -77,7 +102,7 @@ def _xor_nodes(a: _Node, b: _Node, dim: int) -> _Node:
             out.append(b[ib])
             ib += 1
         else:
-            child = _xor_nodes(ca, cb, dim - 1)
+            child = _xor_1d(ca, cb) if dim == 2 else _xor_nodes(ca, cb, dim - 1)
             if child:
                 out.append((ka, child))
             ia += 1
@@ -94,30 +119,32 @@ def _apply_nodes(op: str, a: _Node, b: _Node, dim: int) -> _Node:
     B's slice fixed changes T by dA & (f(1,B) ^ f(0,B)), and B toggling by dB
     against the updated A likewise (_DELTA_OPS).  Once either operand is
     spent its running slice is empty, so T follows the other one's toggles."""
-    if dim == 0:
-        return _BOOL_OPS[op](a, b)
     if not a or not b:
         return _tail(op, a, b)
     if dim == 1:
         return _apply_1d(op, a, b)
     d1 = dim - 1
     op_a, op_b = _DELTA_OPS[op]
-    run_a = run_b = empty = _empty_node(d1)
+    sub = _apply_1d if d1 == 1 else lambda o, x, y: _apply_nodes(o, x, y, d1)
+    xor = _xor_1d if d1 == 1 else lambda x, y: _xor_nodes(x, y, d1)
+    run_a = run_b = ()
     out = []
     ia, ib, na, nb = 0, 0, len(a), len(b)
     while ia < na and ib < nb:
         ka, da = a[ia]
         kb, db = b[ib]
-        delta = empty
+        delta = ()
         if ka <= kb:
-            delta = _apply_nodes(op_a, da, run_b, d1)
+            delta = sub(op_a, da, run_b) if run_b else _tail(op_a, da, ())
             ia += 1
             # the last toggle empties the running slice: no need to xor it out
-            run_a = _xor_nodes(run_a, da, d1) if ia < na else empty
+            run_a = (xor(run_a, da) if run_a else da) if ia < na else ()
         if kb <= ka:
-            delta = _xor_nodes(delta, _apply_nodes(op_b, db, run_a, d1), d1)
+            d = sub(op_b, db, run_a) if run_a else _tail(op_b, db, ())
+            if d:
+                delta = xor(delta, d) if delta else d
             ib += 1
-            run_b = _xor_nodes(run_b, db, d1) if ib < nb else empty
+            run_b = (xor(run_b, db) if run_b else db) if ib < nb else ()
         if delta:
             out.append((ka if ka < kb else kb, delta))
     return tuple(out) + _tail(op, a[ia:], b[ib:])
@@ -129,7 +156,7 @@ def _tail(op: str, a: _Node, b: _Node) -> _Node:
 
 
 def _apply_1d(op: str, a: _Node, b: _Node) -> _Node:
-    """Dimension-1 sweep with plain parity bits (children are booleans)."""
+    """Dimension-1 sweep over two coordinate tuples with plain parity bits."""
     # a toggle flips the result where the other operand is off (DIFFERENCE)
     # or on (INTERSECTION)
     op_a, op_b = _DELTA_OPS[op]
@@ -138,8 +165,8 @@ def _apply_1d(op: str, a: _Node, b: _Node) -> _Node:
     out = []
     ia, ib, na, nb = 0, 0, len(a), len(b)
     while ia < na and ib < nb:
-        ka = a[ia][0]
-        kb = b[ib][0]
+        ka = a[ia]
+        kb = b[ib]
         flip = False
         if ka <= kb:
             flip = run_b is not off_a
@@ -151,58 +178,46 @@ def _apply_1d(op: str, a: _Node, b: _Node) -> _Node:
             run_b = not run_b
             ib += 1
         if flip:
-            out.append((ka if ka < kb else kb, True))
+            out.append(ka if ka < kb else kb)
     return tuple(out) + _tail(op, a[ia:], b[ib:])
 
 
 def _box_node(box: BBox, dim: int) -> _Node:
     """Derivative tree of a single box: toggle on at lower, off past upper."""
-    if dim == 0:
-        return True
-    child = _box_node(box, dim - 1)
     lo = box.lower.coords[dim - 1]
-    hi = box.upper.coords[dim - 1]
-    s = box.stride.steps[dim - 1]
-    return ((lo, child), (hi + s, child))
+    hi = box.upper.coords[dim - 1] + box.stride.steps[dim - 1]
+    if dim == 1:
+        return (lo, hi)
+    child = _box_node(box, dim - 1)
+    return ((lo, child), (hi, child))
 
 
 def _shift_node(node: _Node, dim: int, v: tuple[int, ...]) -> _Node:
-    if dim == 0:
-        return node
     dv = v[dim - 1]
+    if dim == 1:
+        return tuple(k + dv for k in node)
     d1 = dim - 1
     return tuple((k + dv, _shift_node(c, d1, v)) for k, c in node)
 
 
-def _contains_node(node: _Node, dim: int, p: tuple[int, ...]) -> bool:
-    if dim == 0:
-        return node
-    x = p[dim - 1]
-    parity = False
-    for k, child in node:
-        if k > x:
-            break
-        if _contains_node(child, dim - 1, p):
-            parity = not parity
-    return parity
-
-
 def _leaf_count(node: _Node, dim: int) -> int:
-    if dim == 0:
-        return 1 if node else 0
+    if dim == 1:
+        return len(node)
     return sum(_leaf_count(c, dim - 1) for _, c in node)
 
 
 def _leaf_points(node: _Node, dim: int) -> list[tuple[int, ...]]:
-    if dim == 0:
-        return [()] if node else []
+    if dim == 1:
+        return [(k,) for k in node]
     return [prefix + (k,) for k, child in node for prefix in _leaf_points(child, dim - 1)]
 
 
 def _runs(node: _Node, dim: int) -> Iterator[tuple[int, int, _Node]]:
-    """Yield (start, stop, slice) for each non-empty slice along the last axis."""
+    """Yield (start, stop, slice) for each non-empty slice along the last
+    axis of a node above dimension 1 (at dimension 1 the runs are the key
+    pairs, zip(node[0::2], node[1::2]))."""
     d1 = dim - 1
-    run = _empty_node(d1)
+    run = ()
     # the last toggle closes the last run and empties the slice
     for j in range(len(node) - 1):
         run = _xor_nodes(run, node[j][1], d1)
@@ -214,10 +229,13 @@ def _refine_node(node: _Node, dim: int, old_steps: tuple[int, ...], new_steps: t
     """Re-encode the same membership on a finer stride: each run's slice is
     refined, and each position k, k+s, ... of a run on a stride that changes
     becomes its own on/off toggle pair sharing that refined slice."""
-    if dim == 0:
-        return node
     d1 = dim - 1
     so, sn = old_steps[d1], new_steps[d1]
+    if dim == 1:
+        if so == sn:
+            return node
+        return tuple(k for start, stop in zip(node[0::2], node[1::2])
+                     for p in range(start, stop, so) for k in (p, p + sn))
     if so == sn:
         return tuple((k, _refine_node(c, d1, old_steps, new_steps)) for k, c in node)
     out = []
@@ -232,12 +250,19 @@ def _refine_node(node: _Node, dim: int, old_steps: tuple[int, ...], new_steps: t
 def _coarsen_node(node: _Node, dim: int, offset: tuple[int, ...], new_steps: tuple[int, ...]) -> _Node:
     """Restrict to the coarse lattice through offset: each toggle key moves up
     to the next coarse coordinate, which keeps membership at every coarse
-    point since k <= n iff the moved key is; toggles that collide merge by xor."""
-    if dim == 0:
-        return node
+    point since k <= n iff the moved key is; toggles that collide merge by
+    xor (at dimension 1 they cancel)."""
     d1 = dim - 1
     o, ns = offset[d1], new_steps[d1]
     out = []
+    if dim == 1:
+        for k in node:
+            k += (o - k) % ns
+            if out and out[-1] == k:
+                out.pop()
+            else:
+                out.append(k)
+        return tuple(out)
     for k, child in node:
         k += (o - k) % ns
         c = _coarsen_node(child, d1, offset, new_steps)
@@ -250,31 +275,24 @@ def _coarsen_node(node: _Node, dim: int, offset: tuple[int, ...], new_steps: tup
 
 def _expand_node(node: _Node, dim: int, lo: tuple[int, ...], hi: tuple[int, ...], steps: tuple[int, ...]) -> _Node:
     """Dilate by lo/hi steps: each run's slice is dilated and its span grown
-    to [start - lo*s, stop + hi*s); the union of the grown runs merges them."""
-    if dim == 0:
-        return node
+    to [start - lo*s, stop + hi*s); the union of the grown runs merges them.
+    At dimension 1 the grown runs arrive in order, so one pass merges them."""
     d1 = dim - 1
     down, up = lo[d1] * steps[d1], hi[d1] * steps[d1]
+    if dim == 1:
+        out = []
+        for start, stop in zip(node[0::2], node[1::2]):
+            if out and start - down <= out[-1]:
+                out[-1] = stop + up
+            else:
+                out.append(start - down)
+                out.append(stop + up)
+        return tuple(out)
     grown = []
     for start, stop, run in _runs(node, dim):
         run = _expand_node(run, d1, lo, hi, steps)
         grown.append(((start - down, run), (stop + up, run)))
     return _union_all(grown, dim) if grown else ()
-
-
-def _node_boxes(node: _Node, dim: int, steps: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Canonical normalization: (lower, upper) corner pairs, disjoint and exact.
-
-    Sweeps the last axis; each maximal run of coordinates with a constant
-    non-empty slice extrudes that slice's own normalized boxes.  Runs end
-    exactly at stored toggles, so no further merging is possible.
-    """
-    if dim == 0:
-        return [((), ())] if node else []
-    s = steps[dim - 1]
-    return [(lo + (start,), up + (stop - s,))
-            for start, stop, run in _runs(node, dim)
-            for lo, up in _node_boxes(run, dim - 1, steps)]
 
 
 def _union_all(nodes: list[_Node], dim: int) -> _Node:
@@ -287,6 +305,47 @@ def _union_all(nodes: list[_Node], dim: int) -> _Node:
     return nodes[0]
 
 
+def _build_table(node: _Node, dim: int) -> _Table:
+    """The runs table of a node: one walk of its runs, all the way down."""
+    if dim == 1:
+        return node
+    starts, stops, kids = [], [], []
+    for start, stop, run in _runs(node, dim):
+        starts.append(start)
+        stops.append(stop)
+        kids.append(_build_table(run, dim - 1))
+    return tuple(starts), tuple(stops), tuple(kids)
+
+
+def _table_contains(table: _Table, dim: int, p: tuple[int, ...]) -> bool:
+    """Bisect down the runs that hold p's coordinates, last axis first."""
+    while dim > 1:
+        starts, stops, kids = table
+        x = p[dim - 1]
+        i = bisect_right(starts, x) - 1
+        if i < 0 or x >= stops[i]:
+            return False
+        table = kids[i]
+        dim -= 1
+    return bisect_right(table, p[0]) & 1 == 1
+
+
+def _table_corners(table: _Table, dim: int, steps: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Canonical normalization: (lower, upper) corner pairs, disjoint and exact.
+
+    Each maximal run of coordinates with a constant non-empty slice extrudes
+    that slice's own normalized boxes.  Runs end exactly at stored toggles, so
+    no further merging is possible.
+    """
+    s = steps[dim - 1]
+    if dim == 1:
+        return [((start,), (stop - s,)) for start, stop in zip(table[0::2], table[1::2])]
+    starts, stops, kids = table
+    return [(lo + (start,), up + (stop - s,))
+            for start, stop, kid in zip(starts, stops, kids)
+            for lo, up in _table_corners(kid, dim - 1, steps)]
+
+
 @dataclass(frozen=True, slots=True)
 class BBoxSet:
     """An immutable set of lattice points on one sub-lattice.
@@ -294,13 +353,15 @@ class BBoxSet:
     All operations are pure functions returning new sets; values are safe to
     share between threads.  Binary operations require compatible operands:
     same dimension, same stride, and same sub-lattice anchor (the anchor of
-    an empty set is a wildcard).
+    an empty set is a wildcard).  The runs table is assigned once, fully
+    built, so a thread sees either none or all of it.
     """
 
     dim: int
     stride: Stride
     offset: Point
     root: _Node = field(repr=False)
+    _table: _Table | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -309,7 +370,7 @@ class BBoxSet:
         stride = stride if stride is not None else Stride.ones(dim)
         if stride.dim != dim:
             raise UsageError("stride dimension disagrees with set dimension")
-        return BBoxSet(dim, stride, Point.zero(dim), _empty_node(dim))
+        return BBoxSet(dim, stride, Point.zero(dim), ())
 
     @staticmethod
     def from_bboxes(boxes: Iterable[BBox], dim: int | None = None, stride: Stride | None = None) -> "BBoxSet":
@@ -350,18 +411,26 @@ class BBoxSet:
     def is_empty(self) -> bool:
         return not self.root
 
+    def _runs_table(self) -> _Table:
+        table = self._table
+        if table is None:
+            table = _build_table(self.root, self.dim)
+            object.__setattr__(self, "_table", table)
+        return table
+
     def contains(self, p: Point) -> bool:
         if p.dim != self.dim:
             raise UsageError(f"dimension mismatch: {self.dim} vs {p.dim}")
         if any((x - o) % s != 0 for x, o, s in zip(p.coords, self.offset.coords, self.stride.steps)):
             return False
-        return _contains_node(self.root, self.dim, p.coords)
+        return _table_contains(self._runs_table(), self.dim, p.coords)
 
     def to_bboxes(self) -> list[BBox]:
         """Canonical disjoint box decomposition, sorted by (lower, upper)."""
-        corners = _node_boxes(self.root, self.dim, self.stride.steps)
+        corners = _table_corners(self._runs_table(), self.dim, self.stride.steps)
         corners.sort()
-        return [BBox(Point(lo), Point(up), self.stride) for lo, up in corners]
+        box, point, stride = BBox._trusted, Point._trusted, self.stride
+        return [box(point(lo), point(up), stride) for lo, up in corners]
 
     def to_text(self) -> str:
         return "\n".join(format_bbox(b) for b in self.to_bboxes())
@@ -370,7 +439,7 @@ class BBoxSet:
         return sum(b.point_count() for b in self.to_bboxes())
 
     def derivative_element_count(self) -> int:
-        """Number of boolean leaves in the derivative tree (= |dR| as a point set)."""
+        """Number of toggle leaves in the derivative tree (= |dR| as a point set)."""
         return _leaf_count(self.root, self.dim)
 
     def derivative_points(self) -> list[Point]:
@@ -386,7 +455,7 @@ class BBoxSet:
     def apply(self, op: str, other: "BBoxSet") -> "BBoxSet":
         """Binary set operation evaluated by the dimensional-recursion sweep
         (xor by the structural merge)."""
-        if op not in _BOOL_OPS:
+        if op not in SET_OPS:
             raise UsageError(f"unknown set operation {op!r}")
         if op == XOR:
             return self.symmetric_difference(other)
@@ -458,7 +527,7 @@ class BBoxSet:
 
 def _wrap(dim: int, stride: Stride, offset: Point, root: _Node) -> BBoxSet:
     if not root:
-        return BBoxSet(dim, stride, Point.zero(dim), _empty_node(dim))
+        return BBoxSet(dim, stride, Point.zero(dim), ())
     return BBoxSet(dim, stride, offset, root)
 
 

@@ -37,6 +37,13 @@ class Point:
         if not 1 <= len(self.coords) <= MAX_DIM:
             raise UsageError(f"unsupported dimension {len(self.coords)}")
 
+    @classmethod
+    def _trusted(cls, coords: tuple[int, ...]) -> "Point":
+        """A point without the dimension check, for coordinates read from a checked set."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coords", coords)
+        return p
+
     @property
     def dim(self) -> int:
         return len(self.coords)
@@ -127,6 +134,15 @@ class BBox:
         for l, u, s in zip(lo, up, self.stride.steps):
             if (u - l) % s != 0:
                 raise UsageError(f"upper corner not on the stride lattice: {lo}..{up} step {self.stride.steps}")
+
+    @classmethod
+    def _trusted(cls, lower: Point, upper: Point, stride: Stride) -> "BBox":
+        """A non-empty box without the corner checks, for corners read from a checked set."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "lower", lower)
+        object.__setattr__(box, "upper", upper)
+        object.__setattr__(box, "stride", stride)
+        return box
 
     @staticmethod
     def empty(dim: int) -> "BBox":

@@ -290,7 +290,7 @@ def _prime_factors(n: int) -> list[int]:
 
 def neighbors(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> list[ExecParams]:
     """All settings one move away in the enumerated space: one tile size steps
-    one place up (listed first) or down its axis's _tile_domain, or one prime
+    one place up (listed first) or down its axis's _tile_domain, or any one prime
     factor of a thread split moves between two dimensions.
 
     Only p is checked, and each of its tiles must lie in its domain; every
@@ -323,11 +323,11 @@ def _split_moves(p: ExecParams, setup: LoopSetup, coarse: bool) -> list[ExecPara
         for j in range(d):
             if i == j or split[j] == 1:
                 continue
-            f = min(_prime_factors(split[j]))
-            if split[i] * f > setup.extents[i]:
-                continue
-            moved = _set(_set(split, j, split[j] // f), i, split[i] * f)
-            out.append(replace(p, coarse_split=moved) if coarse else replace(p, fine_split=moved))
+            for f in sorted(set(_prime_factors(split[j]))):
+                if split[i] * f > setup.extents[i]:
+                    continue
+                moved = _set(_set(split, j, split[j] // f), i, split[i] * f)
+                out.append(replace(p, coarse_split=moved) if coarse else replace(p, fine_split=moved))
     return out
 
 
@@ -429,7 +429,9 @@ class Tuner:
             st.warmed_up = True
             self._log_row(setup, st, params, elapsed, warmup=True)
             return
-        window = st.samples.setdefault(params, deque(maxlen=MEDIAN_WINDOW))
+        window = st.samples.get(params)
+        if window is None:
+            window = st.samples[params] = deque(maxlen=MEDIAN_WINDOW)
         window.append(elapsed)
         med = statistics.median(window)
         if med < st.best_time:

@@ -1,6 +1,6 @@
 """Shared generators for randomized set-algebra tests."""
 
-from stencilrt.bboxset import _BOOL_OPS, _empty_node, _xor_nodes
+from stencilrt.bboxset import _xor_nodes
 from stencilrt.fuzz import random_boxes
 from stencilrt.lattice import Stride
 
@@ -16,15 +16,21 @@ def make_operands(rng, dim, hull_extent=16, max_boxes=8, steps=None):
     )
 
 
+BOOL_OPS = {
+    "union": lambda a, b: a or b,
+    "intersection": lambda a, b: a and b,
+    "difference": lambda a, b: a and not b,
+    "xor": lambda a, b: a is not b,
+}
+
+
 def reference_apply(op, a, b, dim):
     """Reference sweep: re-evaluate A op B on the whole running slices at every
     toggle coordinate and store the xor of the new result slice with the old."""
-    if dim == 0:
-        return _BOOL_OPS[op](a, b)
     if dim == 1:
         return reference_apply_1d(op, a, b)
     d1 = dim - 1
-    run_a = run_b = result = _empty_node(d1)
+    run_a = run_b = result = ()
     out = []
     ia, ib, na, nb = 0, 0, len(a), len(b)
     while ia < na or ib < nb:
@@ -49,25 +55,26 @@ def reference_apply(op, a, b, dim):
 
 
 def reference_apply_1d(op, a, b):
-    f = _BOOL_OPS[op]
+    """The same sweep on coordinate tuples, with a parity bit per operand."""
+    f = BOOL_OPS[op]
     run_a = run_b = result = False
     out = []
     ia, ib, na, nb = 0, 0, len(a), len(b)
     while ia < na or ib < nb:
         if ib >= nb:
-            n = a[ia][0]
+            n = a[ia]
         elif ia >= na:
-            n = b[ib][0]
+            n = b[ib]
         else:
-            n = min(a[ia][0], b[ib][0])
-        if ia < na and a[ia][0] == n:
+            n = min(a[ia], b[ib])
+        if ia < na and a[ia] == n:
             run_a = not run_a
             ia += 1
-        if ib < nb and b[ib][0] == n:
+        if ib < nb and b[ib] == n:
             run_b = not run_b
             ib += 1
         new_result = f(run_a, run_b)
         if new_result is not result:
-            out.append((n, True))
+            out.append(n)
             result = new_result
     return tuple(out)

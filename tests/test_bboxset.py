@@ -1,4 +1,8 @@
+import gc
 import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -188,17 +192,21 @@ def _box_route_expand(r, lo, hi):
     return BBoxSet.from_bboxes([b.expand(lo, hi) for b in r.to_bboxes()], dim=r.dim, stride=r.stride)
 
 
-def _random_set(rng, dim, steps, anchor=None):
-    """Up to five boxes on a random (or the given) anchor of the lattice,
-    corners possibly negative."""
-    if anchor is None:
-        anchor = tuple(rng.randrange(s) for s in steps)
+def _random_boxes(rng, steps, anchor, count):
+    """count boxes on the anchor's sub-lattice, corners possibly negative."""
     boxes = []
-    for _ in range(rng.randint(0, 5)):
+    for _ in range(count):
         lo = tuple(a + s * rng.randint(-4, 3) for a, s in zip(anchor, steps))
         up = tuple(l + s * rng.randint(0, 4) for l, s in zip(lo, steps))
         boxes.append(BBox(Point(lo), Point(up), Stride(steps)))
-    return BBoxSet.from_bboxes(boxes, dim=dim, stride=Stride(steps))
+    return boxes
+
+
+def _random_set(rng, dim, steps, anchor=None):
+    """Up to five boxes on a random (or the given) anchor of the lattice."""
+    if anchor is None:
+        anchor = tuple(rng.randrange(s) for s in steps)
+    return BBoxSet.from_bboxes(_random_boxes(rng, steps, anchor, rng.randint(0, 5)), dim=dim, stride=Stride(steps))
 
 
 def _close_slabs(rng):
@@ -247,7 +255,10 @@ class TestExpand:
             assert (got.root, got.stride, got.offset) == (want.root, want.stride, want.offset)
         for _ in range(50):
             r, lo, hi = _close_slabs(rng)
-            runs = list(_runs(r.root, r.dim))
+            if r.dim == 1:
+                runs = list(zip(r.root[0::2], r.root[1::2]))
+            else:
+                runs = [(start, stop) for start, stop, _ in _runs(r.root, r.dim)]
             down, up = lo.coords[-1] * r.stride.steps[-1], hi.coords[-1] * r.stride.steps[-1]
             assert all(runs[i + 2][0] - down < runs[i][1] + up for i in range(len(runs) - 2))
             got, want = r.expand(lo, hi), _box_route_expand(r, lo, hi)
@@ -399,6 +410,119 @@ class TestContains:
             a = PointSet.from_bboxes(boxes_r, dim=dim, stride=steps)
             for coords in _hull_points(dim, 12):
                 assert r.contains(Point(coords)) == a.contains(Point(coords))
+
+
+class TestRunsTable:
+    def test_queries_match_oracle(self, rng):
+        """contains, to_bboxes and point_count against the point oracle on
+        random sets in 1-4 dims (strides 1-3, any anchor, the empty set too).
+        Probes: each box's lower corner (a run start, inside), its upper
+        corner, one stride past it (a run stop, outside unless another run
+        starts there), one stride before the lower corner, the points one
+        lattice unit off each of those, and points beyond the hull."""
+        for k in range(240):
+            dim = rng.randint(1, 4)
+            steps = tuple(rng.randint(1, 3) for _ in range(dim))
+            anchor = tuple(rng.randrange(s) for s in steps)
+            boxes = _random_boxes(rng, steps, anchor, 0 if k % 12 == 0 else rng.randint(1, 6))
+            r = BBoxSet.from_bboxes(boxes, dim=dim, stride=Stride(steps))
+            a = PointSet.from_bboxes(boxes, dim=dim, stride=Stride(steps))
+            norm = r.to_bboxes()
+            assert norm == sorted(norm, key=lambda b: (b.lower.coords, b.upper.coords))
+            assert PointSet.from_bboxes(norm, dim=dim, stride=Stride(steps)).points == a.points
+            assert r.point_count() == sum(b.point_count() for b in norm) == a.point_count()
+            probes = [Point(tuple(c + 40 * rng.choice((-1, 1)) for c in anchor)) for _ in range(4)]
+            for b in (norm or [BBox(Point(anchor), Point(anchor), Stride(steps))]):
+                st = Point(steps)
+                for corner in (b.lower, b.upper, b.upper + st, b.lower - st):
+                    probes.append(corner)
+                    probes.extend(corner + Point.unit(dim, axis) for axis in range(dim))
+            for q in probes:
+                assert r.contains(q) == a.contains(q), (k, q)
+
+    def test_built_once_and_ignored_by_equality(self):
+        r, again = lshape(), lshape()
+        assert r.contains(point(0, 0))
+        table = r._table
+        assert table is not None and again._table is None
+        r.to_bboxes()
+        r.point_count()
+        assert r._table is table
+        assert r == again and hash(r) == hash(again)
+
+    def test_threads_share_a_set_before_its_table_exists(self, rng):
+        """Four threads (more than the cores here) query fresh shared sets
+        at once, with a short switch interval: every answer is the oracle's,
+        whichever thread's table ends up stored."""
+        boxes = _random_boxes(rng, (1, 1, 1), (0, 0, 0), 40)
+        a = PointSet.from_bboxes(boxes, dim=3)
+        probes = [Point(tuple(rng.randint(-5, 8) for _ in range(3))) for _ in range(300)]
+        want = [a.contains(q) for q in probes]
+        norm = BBoxSet.from_bboxes(boxes).to_bboxes()
+        errors = []
+
+        def query(r):
+            try:
+                if [r.contains(q) for q in probes] != want or r.to_bboxes() != norm:
+                    errors.append("wrong answer")
+            except Exception as exc:  # a thread's failure must reach the assert
+                errors.append(repr(exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                r = BBoxSet.from_bboxes(boxes)
+                workers = [threading.Thread(target=query, args=(r,)) for _ in range(4)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=30)
+                assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+
+    def test_table_memory_bounded_and_returned(self, rng):
+        """Building the table of a regrid-like level (clustered boxes, buffered
+        and clipped) allocates at most twice the tree's own size; on any set,
+        including staggered slabs whose runs hold O(n^2) intervals for n
+        boxes, at most half what the box list to_bboxes returns from it holds.
+        Dropping the set returns all of it."""
+        cases = []
+        for dim in (2, 3):
+            centre = [rng.randint(16, 48) for _ in range(dim)]
+            boxes = []
+            for _ in range(120):
+                lo = tuple(min(63, max(0, c + round(rng.gauss(0, 6)))) for c in centre)
+                boxes.append(BBox(Point(lo), Point(tuple(min(63, l + rng.randint(1, 7)) for l in lo)), Stride.ones(dim)))
+            domain = BBoxSet.from_bboxes([BBox(Point.zero(dim), Point((63,) * dim), Stride.ones(dim))])
+            cases.append((lambda boxes=boxes, domain=domain, dim=dim:
+                          BBoxSet.from_bboxes(boxes).expand(Point((2,) * dim), Point((2,) * dim)) & domain, 2.0))
+        stagger = [BBox(point(3 * i, i), point(3 * i + 1, 500 + i), ONE2) for i in range(120)]
+        cases.append((lambda: BBoxSet.from_bboxes(stagger), None))
+        for make, tree_factor in cases:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                r = make()
+                tree = tracemalloc.get_traced_memory()[0] - base
+                tracemalloc.reset_peak()
+                r.contains(Point.zero(r.dim))
+                table = tracemalloc.get_traced_memory()[1] - base - tree
+                listed = tracemalloc.get_traced_memory()[0]
+                boxes = r.to_bboxes()
+                listed = tracemalloc.get_traced_memory()[0] - listed
+                del r, boxes
+                gc.collect()
+                left = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            if tree_factor is not None:
+                assert table <= tree_factor * tree, (table, tree)
+            assert table <= listed / 2, (table, listed)
+            assert left <= 1024, left
 
 
 def _hull_points(dim, extent):

@@ -7,6 +7,7 @@ import stencilrt.cli as cli
 from stencilrt.bboxset import BBoxSet
 from stencilrt.cli import build_parser, main
 from stencilrt.fuzz import check_case, grid_of_boxes
+from stencilrt.lattice import parse_bbox
 from stencilrt.oracle import PointSet
 
 FLAGS = {
@@ -55,6 +56,25 @@ class TestSetopsCheck:
         monkeypatch.setattr(BBoxSet, "to_bboxes", lambda r: to_bboxes(r) + to_bboxes(r)[:1])
         msg = check_case(3, 2, 10, 12)
         assert msg is not None and msg.startswith("mismatch in to_bboxes (overlap)")
+
+    def test_failing_case_shrinks(self, monkeypatch):
+        """A planted fault (difference returns its left operand) fails on some
+        case of at least 30 boxes; the message lists a few boxes on which the
+        fault still shows: R and S still overlap."""
+        apply = BBoxSet.apply
+        monkeypatch.setattr(BBoxSet, "apply", lambda r, op, s: r if op == "difference" else apply(r, op, s))
+        for seed in range(100):
+            msg = check_case(seed, 2, 30, 24)
+            total, kept = map(int, re.search(r"shrunk from (\d+) to (\d+) boxes", msg).groups())
+            if total >= 30:
+                break
+        assert msg.startswith("mismatch in difference") and total >= 30 and kept <= 3, msg
+        listed = msg.split("S boxes:")
+        r_boxes, s_boxes = ([parse_bbox(line) for line in part.splitlines() if line.startswith("  (")]
+                            for part in listed)
+        a = PointSet.from_bboxes(r_boxes, dim=2)
+        b = PointSet.from_bboxes(s_boxes, dim=2)
+        assert a.op("difference", b).points != a.points
 
 
 class TestUsageErrors:

@@ -323,13 +323,24 @@ def test_walk_reaches_exactly_the_enumeration():
     assert seen == set(enumerate_valid_params(setup, topo))
 
 
+def test_walk_moves_every_prime_factor():
+    """Coarse (5, 2) is reached only by moving the 5 out of (1, 10), not its smallest factor."""
+    setup = LoopSetup("s", (8, 57), "vector", 10, 2)
+    topo = TopologyConfig(n_coarse_threads=10, n_fine_threads=2, lane_width=4)
+    _, seen = walk(setup, topo)
+    assert seen == set(enumerate_valid_params(setup, topo))
+
+
 def test_walk_stays_in_the_enumeration():
     """On 1000 random setups (1-4 dims, extents 1-70, 1-12 coarse and 1-4 fine
     threads, both alignment classes, lane widths 1-8) the start point and the
     first 300 settings a walk reaches lie in the space.  Membership is judged
     by the domains whose product enumerate_valid_params lists (the enumeration
-    order test pins that product), since the largest spaces hold ~10^6 settings."""
+    order test pins that product), since the largest spaces hold ~10^6 settings.
+    A walk that ends below 300 settings is complete; where some split of each
+    thread count fits the extents, it reaches the whole enumeration."""
     rng = random.Random(10_001)
+    complete = 0
     for _ in range(1000):
         d = rng.randint(1, 4)
         nc, nf = rng.randint(1, 12), rng.randint(1, 4)
@@ -342,6 +353,12 @@ def test_walk_stays_in_the_enumeration():
         for q in seen:
             assert all(t in dom for t, dom in zip(q.tile_size, domains)), (setup, topo, start, q)
             assert q.coarse_split in coarse and q.fine_split in fine, (setup, topo, start, q)
+        # a split domain holds only fitting splits, or none fits at all
+        fits = all(all(c <= e for c, e in zip(dom[0], setup.extents)) for dom in (coarse, fine))
+        if len(seen) < 300 and fits:
+            complete += 1
+            assert seen == set(enumerate_valid_params(setup, topo)), (setup, topo)
+    assert complete > 400
 
 
 class TestRecordTiming:
@@ -378,6 +395,15 @@ class TestRecordTiming:
         for bad in (float("nan"), float("inf"), -1.0):
             with pytest.raises(UsageError):
                 tuner.record_timing(SETUP3D, p, bad)
+
+    def test_one_window_per_setting(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(tuner, "deque", lambda maxlen: built.append(maxlen) or deque(maxlen=maxlen))
+        t = Tuner(TOPO4)
+        p = t.next_params(SETUP3D)
+        for _ in range(1 + 2 * tuner.MEDIAN_WINDOW):
+            t.record_timing(SETUP3D, p, 1.0)
+        assert built == [tuner.MEDIAN_WINDOW]
 
     def test_record_before_next_rejected(self):
         tuner = Tuner(TOPO4)

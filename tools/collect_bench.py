@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""Collect a BENCH file from the fixed benchmark, or compare two of them.
+
+    python3 tools/collect_bench.py --label NAME [--repo DIR]
+    python3 tools/collect_bench.py --compare OLD.json NEW.json
+
+Collecting runs ``bench/run.py`` of the checkout DIR (default: the one this
+file belongs to) once per workload listed in its ``BENCHMARK.json``, per seed
+in SEEDS, with ``--trace 0`` (end-to-end metrics) and ``--trace 1``
+(per-layer metrics), for the benchmark's ``run_seconds``.  It reads each
+run's JSON result line and its results file, and writes
+``BENCH_<NAME>.json`` to the current directory: for each workload and
+metric, the median, the quartiles and the number of runs (Kalibera & Jones,
+ISMM 2013), both for the figures scaled to the benchmark's reference speed
+and for the untraced runs' raw ones, with every run kept as it was read.
+The file also records the core count, the Python and numpy versions and the
+commit.
+
+Comparing prints new/old median ratios for every metric both files hold, and
+marks an end-to-end metric that got worse by more than its bound in
+``BENCHMARK.json``, or whose runs spread wider than that bound while the
+runs of the two files overlap.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+
+SEEDS = (1001, 2002, 424242)
+HERE = Path(__file__).resolve().parent.parent
+
+
+def summarize(values: list[float]) -> dict:
+    """Median, quartiles and count of one metric over repeated runs."""
+    values = sorted(values)
+    if len(values) >= 2:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+
+
+def _git(repo: Path, *args: str) -> str:
+    try:
+        return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return ""
+
+
+def run_once(repo: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run: its result line plus the raw figures of its results file."""
+    argv = [sys.executable if command[0].startswith("python") else command[0], *command[1:],
+            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=repo, capture_output=True, text=True)
+    if proc.returncode == 2 or not proc.stdout.strip():
+        raise SystemExit(f"collect_bench: {' '.join(argv)} failed ({proc.returncode}):\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    stem = f"{workload}-seed{seed}-trace{trace}"
+    reference = json.loads((repo / "bench" / "results" / f"{stem}.json").read_text())["reference"]
+    result["raw"] = {k: v for k, v in reference.items()
+                     if isinstance(v, (int, float)) and not isinstance(v, bool)}
+    return {"seed": seed, "trace": trace, **result}
+
+
+def collect(repo: Path, label: str) -> dict:
+    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    workloads = {}
+    for wl in spec["workloads"]:
+        name = wl["name"]
+        runs = []
+        for seed in SEEDS:
+            for trace in (0, 1):
+                print(f"collect_bench: {name} seed {seed} trace {trace}", file=sys.stderr, flush=True)
+                runs.append(run_once(repo, spec["command"], name, seed, seconds, trace))
+        scaled, raw, units = {}, {}, {}
+        for run in runs:
+            for metric, m in run["metrics"].items():
+                scaled.setdefault(metric, []).append(m["value"])
+                units[metric] = m["unit"]
+            # the untraced runs' own figures; a traced run's op times include the tracing
+            for key, v in run["raw"].items() if run["trace"] == 0 else ():
+                raw.setdefault(key, []).append(v)
+        workloads[name] = {
+            "why": wl.get("why", ""),
+            "correct": all(r["correct"] for r in runs),
+            "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "metrics": {k: {"unit": units[k], **summarize(v)} for k, v in scaled.items()},
+            "raw": {k: summarize(v) for k, v in raw.items()},
+            "runs": runs,
+        }
+    status = _git(repo, "status", "--porcelain", "--untracked-files=no")
+    return {
+        "label": label,
+        "commit": _git(repo, "rev-parse", "HEAD"),
+        "dirty": bool(status),
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "seconds": seconds,
+        "seeds": list(SEEDS),
+        "workloads": workloads,
+    }
+
+
+def _values(workload: dict, metric: str) -> list[float]:
+    return [r["metrics"][metric]["value"] for r in workload.get("runs", ()) if metric in r["metrics"]]
+
+
+def _separated(old: list[float], new: list[float]) -> bool:
+    """Every run of one side lies beyond every run of the other."""
+    return bool(old and new) and (max(new) < min(old) or min(new) > max(old))
+
+
+def compare(old: dict, new: dict, bounds: dict[str, dict]) -> list[str]:
+    """One line per workload and metric held by both files: new/old median
+    ratio, and for end-to-end metrics a verdict against the bound."""
+    lines = [f"{'workload':<15} {'metric':<28} {'old':>12} {'new':>12} {'new/old':>8}"]
+    for name, wl in new["workloads"].items():
+        before = old["workloads"].get(name)
+        if before is None:
+            continue
+        for metric, m in wl["metrics"].items():
+            o = before["metrics"].get(metric)
+            if o is None or o["median"] == m["median"] == 0:
+                continue
+            ratio = m["median"] / o["median"] if o["median"] else float("nan")
+            verdict = ""
+            bound = bounds.get(metric)
+            if bound is not None:
+                lower = bound["better"] == "lower"
+                worse = ratio - 1 if lower else 1 - ratio
+                spread = max((s["q3"] - s["q1"]) / s["median"] for s in (o, m) if s["median"])
+                if spread > bound["bound"] and not _separated(_values(before, metric), _values(wl, metric)):
+                    verdict = f"unresolved: spread {spread:.2f} > bound {bound['bound']}"
+                elif worse > bound["bound"]:
+                    verdict = f"WORSE beyond bound {bound['bound']}"
+                else:
+                    verdict = "within bound"
+            lines.append(f"{name:<15} {metric:<28} {o['median']:>12.4g} {m['median']:>12.4g} "
+                         f"{ratio:>8.3f}  {verdict}".rstrip())
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="tools/collect_bench.py", description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", help="write BENCH_<label>.json from a collection run")
+    parser.add_argument("--repo", type=Path, default=HERE, help="checkout whose benchmark runs")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), type=Path)
+    args = parser.parse_args(argv)
+    if (args.label is None) == (args.compare is None):
+        parser.error("give either --label or --compare")
+    if args.compare:
+        old, new = (json.loads(p.read_text()) for p in args.compare)
+        spec = json.loads((HERE / "BENCHMARK.json").read_text())
+        print("\n".join(compare(old, new, {m["name"]: m for m in spec["end_to_end"]})))
+        return 0
+    repo = args.repo.resolve()
+    if not (repo / "BENCHMARK.json").is_file():
+        parser.error(f"{repo} holds no BENCHMARK.json")
+    data = collect(repo, args.label)
+    out = Path(f"BENCH_{args.label}.json")
+    out.write_text(json.dumps(data, indent=1) + "\n")
+    bad = [name for name, wl in data["workloads"].items() if not wl["correct"] or wl["failed"]]
+    print(f"collect_bench: wrote {out}" + (f"; checks failed on {', '.join(bad)}" if bad else ""))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
