@@ -8,7 +8,7 @@ Each box is checked once, when it is added; the list keeps raw corner tuples.
 """
 from operator import gt
 
-from .lattice import BBox, Point, UsageError
+from .lattice import BBox, Point, check_dims
 
 
 def box_minus(a: tuple, b: tuple, steps: tuple[int, ...]) -> list[tuple]:
@@ -40,8 +40,7 @@ class NaiveBoxList:
         return [BBox(Point(lo), Point(up), self._first.stride) for lo, up in self._corners]
 
     def add(self, box: BBox) -> None:
-        if box.dim != self.dim:
-            raise UsageError(f"dimension mismatch: {self.dim} vs {box.dim}")
+        check_dims(self.dim, box)
         if box.is_empty:
             return
         if self._first is None:

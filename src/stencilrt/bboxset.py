@@ -33,9 +33,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import mod, sub
 from typing import Iterable, Iterator
 
-from .lattice import BBox, Point, Stride, UsageError, format_bbox, parse_bbox
+from .lattice import (BBox, Point, Stride, UsageError, check_boxes, check_dims, check_expand, check_operands,
+                      check_refine, format_bbox, parse_bbox)
 
 UNION = "union"
 INTERSECTION = "intersection"
@@ -367,39 +369,14 @@ class BBoxSet:
 
     @staticmethod
     def empty(dim: int, stride: Stride | None = None) -> "BBoxSet":
-        stride = stride if stride is not None else Stride.ones(dim)
-        if stride.dim != dim:
-            raise UsageError("stride dimension disagrees with set dimension")
-        return BBoxSet(dim, stride, Point.zero(dim), ())
+        return BBoxSet.from_bboxes((), dim, stride)
 
     @staticmethod
     def from_bboxes(boxes: Iterable[BBox], dim: int | None = None, stride: Stride | None = None) -> "BBoxSet":
-        """Union of the given boxes (overlap allowed).
-
-        All non-empty boxes must share dimension, stride, and sub-lattice.
-        dim/stride are only required when the box list has no non-empty entry.
-        """
-        live = [b for b in boxes if not b.is_empty]
-        if not live:
-            if dim is None:
-                raise UsageError("cannot infer dimension of an empty box list")
-            return BBoxSet.empty(dim, stride)
-        first = live[0]
-        if dim is not None and first.dim != dim:
-            raise UsageError(f"dimension mismatch: boxes are {first.dim}d, requested {dim}d")
-        if stride is not None and first.stride != stride:
-            raise UsageError("stride mismatch between boxes and requested stride")
-        off = tuple(l % s for l, s in zip(first.lower.coords, first.stride.steps))
-        for b in live:
-            if b.dim != first.dim:
-                raise UsageError("boxes of mixed dimension")
-            if b.stride != first.stride:
-                raise UsageError("boxes of mixed stride")
-            if tuple(l % s for l, s in zip(b.lower.coords, b.stride.steps)) != off:
-                raise UsageError("boxes on different sub-lattices")
-        d = first.dim
-        root = _union_all([_box_node(b, d) for b in live], d)
-        return _wrap(d, first.stride, Point(off), root)
+        """Union of the given boxes (overlap allowed), as lattice.check_boxes admits them."""
+        live, dim, stride, anchor = check_boxes(boxes, dim, stride)
+        root = _union_all([_box_node(b, dim) for b in live], dim) if live else ()
+        return _wrap(dim, stride, anchor, root)
 
     @staticmethod
     def from_text(text: str, dim: int | None = None, stride: Stride | None = None) -> "BBoxSet":
@@ -419,10 +396,9 @@ class BBoxSet:
         return table
 
     def contains(self, p: Point) -> bool:
-        if p.dim != self.dim:
-            raise UsageError(f"dimension mismatch: {self.dim} vs {p.dim}")
-        if any((x - o) % s != 0 for x, o, s in zip(p.coords, self.offset.coords, self.stride.steps)):
-            return False
+        check_dims(self.dim, p)
+        if any(map(mod, map(sub, p.coords, self.offset.coords), self.stride.steps)):
+            return False  # off the set's sub-lattice
         return _table_contains(self._runs_table(), self.dim, p.coords)
 
     def to_bboxes(self) -> list[BBox]:
@@ -447,7 +423,7 @@ class BBoxSet:
         return [Point(c) for c in _leaf_points(self.root, self.dim)]
 
     def equals(self, other: "BBoxSet") -> bool:
-        _compatible(self, other)
+        check_operands(self, other)
         return not _xor_nodes(self.root, other.root, self.dim)
 
     # -- set algebra -------------------------------------------------------
@@ -459,7 +435,7 @@ class BBoxSet:
             raise UsageError(f"unknown set operation {op!r}")
         if op == XOR:
             return self.symmetric_difference(other)
-        off = _compatible(self, other)
+        off = check_operands(self, other)
         return _wrap(self.dim, self.stride, off, _apply_nodes(op, self.root, other.root, self.dim))
 
     def union(self, other: "BBoxSet") -> "BBoxSet":
@@ -473,7 +449,7 @@ class BBoxSet:
 
     def symmetric_difference(self, other: "BBoxSet") -> "BBoxSet":
         """Fast xor: structural merge of the derivative trees, no sweep."""
-        off = _compatible(self, other)
+        off = check_operands(self, other)
         return _wrap(self.dim, self.stride, off, _xor_nodes(self.root, other.root, self.dim))
 
     __or__ = union
@@ -489,24 +465,19 @@ class BBoxSet:
     # -- geometry ----------------------------------------------------------
 
     def shift(self, v: Point) -> "BBoxSet":
-        if v.dim != self.dim:
-            raise UsageError(f"dimension mismatch: {self.dim} vs {v.dim}")
+        check_dims(self.dim, v)
         off = Point(tuple((o + dv) % s for o, dv, s in zip(self.offset.coords, v.coords, self.stride.steps)))
         return _wrap(self.dim, self.stride, off, _shift_node(self.root, self.dim, v.coords))
 
     def expand(self, lo: Point, hi: Point) -> "BBoxSet":
         """Dilate by lo/hi stride steps per dimension (non-negative only)."""
-        if lo.dim != self.dim or hi.dim != self.dim:
-            raise UsageError(f"dimension mismatch: {self.dim} vs {lo.dim}/{hi.dim}")
-        if any(c < 0 for c in lo.coords) or any(c < 0 for c in hi.coords):
-            raise UsageError("expand takes non-negative step counts; shrink via complement within a hull")
+        check_expand(self.dim, lo, hi)
         root = _expand_node(self.root, self.dim, lo.coords, hi.coords, self.stride.steps)
         return _wrap(self.dim, self.stride, self.offset, root)
 
     def coarsen(self, factor: Stride) -> "BBoxSet":
         """Keep only points on the coarser sub-lattice (stride * factor, same anchor)."""
-        if factor.dim != self.dim:
-            raise UsageError(f"dimension mismatch: {self.dim} vs {factor.dim}")
+        check_dims(self.dim, factor)
         new_steps = tuple(s * f for s, f in zip(self.stride.steps, factor.steps))
         # the anchor, below the old stride, is a coarse-lattice coordinate too
         root = _coarsen_node(self.root, self.dim, self.offset.coords, new_steps)
@@ -514,11 +485,7 @@ class BBoxSet:
 
     def refine(self, factor: Stride) -> "BBoxSet":
         """Make a finer lattice available: stride / factor, membership unchanged."""
-        if factor.dim != self.dim:
-            raise UsageError(f"dimension mismatch: {self.dim} vs {factor.dim}")
-        for s, f in zip(self.stride.steps, factor.steps):
-            if s % f != 0:
-                raise UsageError(f"refinement factor {factor.steps} does not divide stride {self.stride.steps}")
+        check_refine(self.stride, factor)
         new_steps = tuple(s // f for s, f in zip(self.stride.steps, factor.steps))
         off = Point(tuple(o % ns for o, ns in zip(self.offset.coords, new_steps)))
         root = _refine_node(self.root, self.dim, self.stride.steps, new_steps)
@@ -529,14 +496,3 @@ def _wrap(dim: int, stride: Stride, offset: Point, root: _Node) -> BBoxSet:
     if not root:
         return BBoxSet(dim, stride, Point.zero(dim), ())
     return BBoxSet(dim, stride, offset, root)
-
-
-def _compatible(a: BBoxSet, b: BBoxSet) -> Point:
-    """Validate operands; returns the sub-lattice anchor the result lives on."""
-    if a.dim != b.dim:
-        raise UsageError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.stride != b.stride:
-        raise UsageError(f"stride mismatch: {a.stride.steps} vs {b.stride.steps}")
-    if not a.is_empty() and not b.is_empty() and a.offset != b.offset:
-        raise UsageError(f"operands on different sub-lattices: {a.offset.coords} vs {b.offset.coords}")
-    return b.offset if a.is_empty() else a.offset

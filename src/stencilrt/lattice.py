@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from operator import mod
+from typing import Iterable, Iterator
 
 MAX_DIM = 4
 
@@ -25,6 +26,13 @@ class UsageError(ValueError):
 
 class ResourceError(RuntimeError):
     """A configured resource limit was exceeded."""
+
+
+def check_dims(dim: int, *args) -> None:
+    """The dimension check of the points, strides or boxes passed to a dim-dimensional object."""
+    for arg in args:  # a plain loop: contains calls this once per query
+        if arg.dim != dim:
+            raise UsageError(f"dimension mismatch: {dim} vs {'/'.join(str(a.dim) for a in args)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,8 +168,7 @@ class BBox:
         return self.upper.coords[0] < self.lower.coords[0]
 
     def contains(self, p: Point) -> bool:
-        if p.dim != self.dim:
-            raise UsageError(f"dimension mismatch: box is {self.dim}d, point is {p.dim}d")
+        check_dims(self.dim, p)
         if self.is_empty:
             return False
         return all(
@@ -170,8 +177,7 @@ class BBox:
         )
 
     def intersect(self, other: "BBox") -> "BBox":
-        if self.dim != other.dim:
-            raise UsageError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        check_dims(self.dim, other)
         if self.is_empty or other.is_empty:
             return BBox.empty(self.dim)
         if self.stride != other.stride:
@@ -187,8 +193,7 @@ class BBox:
 
     def shift(self, v: Point) -> "BBox":
         """Translate by v (lattice units, not stride steps)."""
-        if v.dim != self.dim:
-            raise UsageError(f"dimension mismatch: {self.dim} vs {v.dim}")
+        check_dims(self.dim, v)
         if self.is_empty:
             return self
         return BBox(self.lower + v, self.upper + v, self.stride)
@@ -198,8 +203,7 @@ class BBox:
 
         Over-shrinking yields the empty box.
         """
-        if lo.dim != self.dim or hi.dim != self.dim:
-            raise UsageError(f"dimension mismatch: {self.dim} vs {lo.dim}/{hi.dim}")
+        check_dims(self.dim, lo, hi)
         if self.is_empty:
             return self
         new_lo = tuple(l - c * s for l, c, s in zip(self.lower.coords, lo.coords, self.stride.steps))
@@ -248,9 +252,68 @@ class GridGeometry:
 
 
 def to_physical(g: GridGeometry, p: Point) -> tuple[float, ...]:
-    if g.dim != p.dim:
-        raise UsageError(f"dimension mismatch: {g.dim} vs {p.dim}")
+    check_dims(g.dim, p)
     return tuple(o + n * dx for o, n, dx in zip(g.origin, p.coords, g.spacing))
+
+
+# -- what a caller may pass to a point set: BBoxSet and the PointSet oracle
+# both call these checks, so the two reject the same input with the same text
+
+
+def check_boxes(boxes: Iterable[BBox], dim: int | None = None,
+                stride: Stride | None = None) -> tuple[list[BBox], int, Stride, Point]:
+    """The entry check of a box list: its non-empty boxes, plus the dimension,
+    stride and sub-lattice anchor they share.  dim/stride are only required
+    when the box list has no non-empty entry."""
+    live = [b for b in boxes if not b.is_empty]
+    if not live:
+        if dim is None:
+            raise UsageError("cannot infer dimension of an empty box list")
+        stride = stride if stride is not None else Stride.ones(dim)
+        if stride.dim != dim:
+            raise UsageError("stride dimension disagrees with set dimension")
+        return live, dim, stride, Point.zero(dim)
+    first = live[0]
+    if dim is not None and first.dim != dim:
+        raise UsageError(f"dimension mismatch: boxes are {first.dim}d, requested {dim}d")
+    if stride is not None and first.stride != stride:
+        raise UsageError("stride mismatch between boxes and requested stride")
+    steps = first.stride.steps
+    anchor = tuple(map(mod, first.lower.coords, steps))
+    for b in live:
+        if b.stride.steps != steps:
+            raise UsageError("boxes of mixed dimension" if b.dim != first.dim else "boxes of mixed stride")
+        if tuple(map(mod, b.lower.coords, steps)) != anchor:
+            raise UsageError("boxes on different sub-lattices")
+    return live, first.dim, first.stride, Point(anchor)
+
+
+def check_operands(a, b) -> Point:
+    """The operand check of a binary set operation: same dimension, stride
+    and anchor (an empty set's anchor is a wildcard).  Returns the anchor the
+    result lives on."""
+    if a.dim != b.dim:
+        raise UsageError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if a.stride != b.stride:
+        raise UsageError(f"stride mismatch: {a.stride.steps} vs {b.stride.steps}")
+    if not a.is_empty() and not b.is_empty() and a.offset != b.offset:
+        raise UsageError(f"operands on different sub-lattices: {a.offset.coords} vs {b.offset.coords}")
+    return b.offset if a.is_empty() else a.offset
+
+
+def check_expand(dim: int, lo: Point, hi: Point) -> None:
+    """Dilation step counts: one per dimension, none negative."""
+    check_dims(dim, lo, hi)
+    if any(c < 0 for c in lo.coords) or any(c < 0 for c in hi.coords):
+        raise UsageError("expand takes non-negative step counts; shrink via complement within a hull")
+
+
+def check_refine(stride: Stride, factor: Stride) -> None:
+    """A refinement factor: one per dimension, each dividing the set's stride."""
+    check_dims(stride.dim, factor)
+    for s, f in zip(stride.steps, factor.steps):
+        if s % f != 0:
+            raise UsageError(f"refinement factor {factor.steps} does not divide stride {stride.steps}")
 
 
 def format_bbox(b: BBox) -> str:

@@ -26,6 +26,7 @@ import statistics
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from operator import le
 from pathlib import Path
 
 from .lattice import UsageError
@@ -194,8 +195,13 @@ def _split_domain(threads: int, setup: LoopSetup) -> list[tuple[int, ...]]:
     pieces than a dimension has indices are kept only when nothing fits (the
     planner degrades such splits to fewer blocks)."""
     all_f = _factorizations(threads, setup.dim)
-    fitting = [c for c in all_f if all(ci <= ei for ci, ei in zip(c, setup.extents))]
+    fitting = [c for c in all_f if _fits(c, setup)]
     return fitting or all_f
+
+
+def _fits(split: tuple[int, ...], setup: LoopSetup) -> bool:
+    """No dimension is split into more pieces than it has indices."""
+    return all(map(le, split, setup.extents))
 
 
 def enumerate_valid_params(setup: LoopSetup, topo: TopologyConfig) -> list[ExecParams]:
@@ -252,8 +258,6 @@ def params_initial(setup: LoopSetup, topo: TopologyConfig) -> ExecParams:
 def _initial_split(threads: int, ext: tuple[int, ...], setup: LoopSetup) -> tuple[int, ...]:
     """_greedy_split's split of ext when _split_domain holds it, else the domain's first."""
     split = _greedy_split(threads, ext)
-    if all(c <= e for c, e in zip(split, setup.extents)):
-        return split  # a split that fits the extents is always in the domain
     domain = _split_domain(threads, setup)
     return split if split in domain else domain[0]
 
@@ -291,7 +295,8 @@ def _prime_factors(n: int) -> list[int]:
 def neighbors(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> list[ExecParams]:
     """All settings one move away in the enumerated space: one tile size steps
     one place up (listed first) or down its axis's _tile_domain, or any one prime
-    factor of a thread split moves between two dimensions.
+    factor of a thread split moves between two dimensions or swaps with a
+    larger prime of another.
 
     Only p is checked, and each of its tiles must lie in its domain; every
     move of such a setting whose splits lie in _split_domain stays in the space.
@@ -316,19 +321,24 @@ def _set(t: tuple[int, ...], i: int, v: int) -> tuple[int, ...]:
 
 
 def _split_moves(p: ExecParams, setup: LoopSetup, coarse: bool) -> list[ExecParams]:
+    """Each distinct prime f of dimension j moves to dimension i, or swaps with
+    a larger prime g of dimension i.  Moves stay in _split_domain: while the
+    split fits, each move must; when none fits, every factorization is in."""
     split = p.coarse_split if coarse else p.fine_split
-    d = len(split)
-    out = []
-    for i in range(d):
-        for j in range(d):
-            if i == j or split[j] == 1:
-                continue
-            for f in sorted(set(_prime_factors(split[j]))):
-                if split[i] * f > setup.extents[i]:
-                    continue
-                moved = _set(_set(split, j, split[j] // f), i, split[i] * f)
-                out.append(replace(p, coarse_split=moved) if coarse else replace(p, fine_split=moved))
-    return out
+    primes = [sorted(set(_prime_factors(c))) if c > 1 else () for c in split]
+    moves = []
+    for i, j in itertools.permutations(range(len(split)), 2):
+        for f in primes[j]:
+            rest = split[j] // f
+            moves.append(_set(_set(split, j, rest), i, split[i] * f))
+            for g in primes[i]:
+                if g > f:
+                    moves.append(_set(_set(split, j, rest * g), i, split[i] // g * f))
+    if moves and _fits(split, setup):
+        moves = [m for m in moves if _fits(m, setup)]
+    if coarse:
+        return [ExecParams(m, p.tile_size, p.fine_split, p.vector_width) for m in moves]
+    return [ExecParams(p.coarse_split, p.tile_size, m, p.vector_width) for m in moves]
 
 
 # -- the optimizer state machine ----------------------------------------------
@@ -341,7 +351,7 @@ _EXCURSION = "excursion"
 @dataclass
 class _SetupState:
     rng: random.Random
-    current: ExecParams
+    start: ExecParams
     phase: str = _INITIAL
     center: ExecParams | None = None
     pending: list[ExecParams] = field(default_factory=list)
@@ -369,7 +379,7 @@ class Tuner:
         st = self._states.get(setup)
         if st is None:
             rng = random.Random(f"{self.topo.rng_seed}:{setup.site_id}:{setup.extents}")
-            st = _SetupState(rng=rng, current=params_initial(setup, self.topo))
+            st = _SetupState(rng=rng, start=params_initial(setup, self.topo))
             self._states[setup] = st
         return st
 
@@ -377,7 +387,7 @@ class Tuner:
         """Advance the state machine and return the setting to execute next."""
         st = self._state(setup)
         if st.best_params is None:
-            return st.current  # warm-up and first measured sample of the heuristic
+            return st.start  # warm-up and first measured sample of the heuristic
 
         if st.phase == _EXCURSION and self.should_abort_excursion(setup, st.last_elapsed):
             st.pending.clear()
@@ -391,8 +401,7 @@ class Tuner:
             st.rng.shuffle(st.pending)
 
         if st.pending:
-            st.current = st.pending.pop()
-            return st.current
+            return st.pending.pop()
 
         if st.phase == _EXCURSION:
             # neighborhood of the random point fully explored, nothing beat best
@@ -405,17 +414,14 @@ class Tuner:
             st.center = cand
             st.pending = neighbors(cand, setup, self.topo)
             st.rng.shuffle(st.pending)
-            st.current = cand
             return cand
 
-        st.current = st.best_params
-        return st.current
+        return st.best_params
 
     def _settle(self, st: _SetupState) -> ExecParams:
         st.phase = _CLIMBING
         st.center = st.best_params
-        st.current = st.best_params
-        return st.current
+        return st.best_params
 
     def record_timing(self, setup: LoopSetup, params: ExecParams, elapsed: float) -> None:
         """Fold one wall-clock measurement into the per-setting medians."""

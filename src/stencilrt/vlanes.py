@@ -7,10 +7,9 @@ bit-identical results to the equivalent scalar loop, which is the property
 the test suite leans on.
 
 Loads are never masked: arrays carry padding so reads slightly out of bounds
-always succeed.  Only stores honour masks.  fma defaults to the unfused
-x*y + z (two roundings) so results stay bit-reproducible; setting FUSED_FMA
-switches to a correctly rounded fused product, which relaxes bit-exactness
-to 1 ulp.
+always succeed.  Only stores honour masks.  vfma is the unfused x*y + z (two
+roundings), so results stay bit-reproducible; vfma_fused is the correctly
+rounded fused form, within 1 ulp of it.
 """
 from __future__ import annotations
 
@@ -24,9 +23,6 @@ import numpy as np
 from .lattice import UsageError
 
 MAX_WIDTH = 16
-
-# fused multiply-add: off by default so scalar-equivalence tests are bit-exact
-FUSED_FMA = False
 
 
 def _check_width(w: int) -> int:
@@ -84,6 +80,8 @@ class AlignedArray:
         _check_width(width)
         if padding is None:
             padding = width
+        if length < 0:
+            raise UsageError(f"array length must not be negative: {length}")
         if padding < width - 1:
             raise UsageError(f"padding {padding} < W-1 = {width - 1}")
         self.width = width
@@ -233,12 +231,17 @@ def _fma_fused(x: float, y: float, z: float) -> float:
 
 
 def vfma(x: LaneVector, y: LaneVector, z: LaneVector) -> LaneVector:
-    """Lane-wise x*y + z; unfused (two roundings) unless FUSED_FMA is set."""
+    """Lane-wise x*y + z, unfused (two roundings)."""
     _pair(x, y)
     _pair(x, z)
-    if FUSED_FMA:
-        return LaneVector(tuple(_fma_fused(a, b, c) for a, b, c in zip(x.lanes, y.lanes, z.lanes)))
     return LaneVector(tuple(a * b + c for a, b, c in zip(x.lanes, y.lanes, z.lanes)))
+
+
+def vfma_fused(x: LaneVector, y: LaneVector, z: LaneVector) -> LaneVector:
+    """Lane-wise x*y + z, correctly rounded (one rounding)."""
+    _pair(x, y)
+    _pair(x, z)
+    return LaneVector(tuple(map(_fma_fused, x.lanes, y.lanes, z.lanes)))
 
 
 def vcmp(op: str, x: LaneVector, y: LaneVector) -> LaneMask:

@@ -120,7 +120,9 @@ def test_criterion_5_iterate_masked_exhaustive():
 def test_criterion_6_stencil_kernels_bit_identical():
     """Forward/centered difference kernels bit-identical to the scalar loops,
     lengths 1..129, every supported width, unfused-fma contract."""
-    assert vl.FUSED_FMA is False
+    x, y, z = 0.1, 10.0, -1.0  # x*y rounds to 1.0, so x*y + z is 0.0; fused, it is not
+    assert vl.vfma_fused(vl.vset1(x, 1), vl.vset1(y, 1), vl.vset1(z, 1)).lanes[0] != x * y + z
+    assert vl.vfma(vl.vset1(x, 1), vl.vset1(y, 1), vl.vset1(z, 1)).lanes[0] == x * y + z
     rng = random.Random(960_000)
     checked = 0
     for n in range(1, 130):

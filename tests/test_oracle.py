@@ -77,6 +77,59 @@ def test_from_bboxes_rejects_what_the_tree_rejects(boxes, kwargs, message):
     assert str(oracle_err.value) == str(tree_err.value)
 
 
+def _same_error(tree_call, oracle_call):
+    with pytest.raises(UsageError) as tree_err:
+        tree_call()
+    with pytest.raises(UsageError) as oracle_err:
+        oracle_call()
+    assert str(oracle_err.value) == str(tree_err.value)
+
+
+_BAD_ARGUMENTS = {
+    "shift": lambda s: s.shift(point(1)),
+    "expand-lo": lambda s: s.expand(point(1), point(1, 1)),
+    "expand-hi": lambda s: s.expand(point(1, 1), point(1, 1, 1)),
+    "expand-negative": lambda s: s.expand(point(0, -1), point(1, 1)),
+    "coarsen": lambda s: s.coarsen(stride(2)),
+    "refine": lambda s: s.refine(stride(1)),
+    "refine-not-dividing": lambda s: s.refine(stride(3, 1)),
+    "contains": lambda s: s.contains(point(1)),
+}
+
+
+@pytest.mark.parametrize("empty", [False, True])
+@pytest.mark.parametrize("name", sorted(_BAD_ARGUMENTS))
+def test_arguments_rejected_as_the_tree_rejects(name, empty):
+    """Every bad argument of a 2-D set on stride (2, 1), full or empty, gives
+    the tree's UsageError, word for word."""
+    boxes = [] if empty else [_B21]
+    tree = BBoxSet.from_bboxes(boxes, dim=2, stride=stride(2, 1))
+    orc = PointSet.from_bboxes(boxes, dim=2, stride=stride(2, 1))
+    call = _BAD_ARGUMENTS[name]
+    _same_error(lambda: call(tree), lambda: call(orc))
+
+
+@pytest.mark.parametrize("op", ["union", "intersection", "difference", "xor", "nand"])
+@pytest.mark.parametrize("other", [
+    [BBox(point(0), point(2), stride(2))],                     # dimension
+    [_B11],                                                    # stride
+    [BBox(point(1, 0), point(5, 2), stride(2, 1))],           # anchor
+], ids=["dimension", "stride", "anchor"])
+@pytest.mark.parametrize("swap", [False, True])
+def test_operands_rejected_as_the_tree_rejects(op, other, swap):
+    """Mismatched operands of every binary op, either way round, give the
+    tree's UsageError, word for word."""
+    r, s = BBoxSet.from_bboxes([_B21]), BBoxSet.from_bboxes(other)
+    a, b = PointSet.from_bboxes([_B21]), PointSet.from_bboxes(other)
+    if swap:
+        r, s, a, b = s, r, b, a
+    _same_error(lambda: r.apply(op, s), lambda: a.op(op, b))
+
+
+def test_empty_rejected_as_the_tree_rejects():
+    _same_error(lambda: BBoxSet.empty(2, stride(1, 1, 1)), lambda: PointSet.empty(2, stride(1, 1, 1)))
+
+
 def test_op_equivalence_randomized(rng):
     from helpers import make_operands
 
