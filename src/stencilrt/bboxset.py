@@ -36,15 +36,10 @@ from dataclasses import dataclass, field
 from operator import mod, sub
 from typing import Iterable, Iterator
 
-from .lattice import (BBox, Point, Stride, UsageError, check_boxes, check_dims, check_expand, check_operands,
+from .lattice import (SET_OPS, BBox, Point, Stride, check_boxes, check_dims, check_expand, check_op, check_operands,
                       check_refine, format_bbox, parse_bbox)
 
-UNION = "union"
-INTERSECTION = "intersection"
-DIFFERENCE = "difference"
-XOR = "xor"
-
-SET_OPS = (UNION, INTERSECTION, DIFFERENCE, XOR)
+UNION, INTERSECTION, DIFFERENCE, XOR = SET_OPS
 
 # (op for an A toggle against B's slice, op for a B toggle against A's): the
 # points of the toggle where the result flips with that operand's membership
@@ -431,8 +426,7 @@ class BBoxSet:
     def apply(self, op: str, other: "BBoxSet") -> "BBoxSet":
         """Binary set operation evaluated by the dimensional-recursion sweep
         (xor by the structural merge)."""
-        if op not in SET_OPS:
-            raise UsageError(f"unknown set operation {op!r}")
+        check_op(op)
         if op == XOR:
             return self.symmetric_difference(other)
         off = check_operands(self, other)

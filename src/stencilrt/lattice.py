@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import mod
 from typing import Iterable, Iterator
@@ -213,10 +214,7 @@ class BBox:
     def point_count(self) -> int:
         if self.is_empty:
             return 0
-        n = 1
-        for l, u, s in zip(self.lower.coords, self.upper.coords, self.stride.steps):
-            n *= (u - l) // s + 1
-        return n
+        return math.prod((u - l) // s + 1 for l, u, s in zip(self.lower.coords, self.upper.coords, self.stride.steps))
 
     def points(self) -> Iterator[Point]:
         """Enumerate member points (test/oracle plumbing; cost is O(points))."""
@@ -286,6 +284,15 @@ def check_boxes(boxes: Iterable[BBox], dim: int | None = None,
         if tuple(map(mod, b.lower.coords, steps)) != anchor:
             raise UsageError("boxes on different sub-lattices")
     return live, first.dim, first.stride, Point(anchor)
+
+
+SET_OPS = ("union", "intersection", "difference", "xor")
+
+
+def check_op(name: str) -> None:
+    """The name of a binary set operation: one of SET_OPS."""
+    if name not in SET_OPS:
+        raise UsageError(f"unknown set operation {name!r}")
 
 
 def check_operands(a, b) -> Point:

@@ -12,17 +12,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .lattice import (BBox, Point, ResourceError, Stride, UsageError, check_boxes, check_dims, check_expand,
+from .lattice import (SET_OPS, BBox, Point, ResourceError, Stride, check_boxes, check_dims, check_expand, check_op,
                       check_operands, check_refine)
 
 DEFAULT_POINT_CAP = 10**6
 
-_SET_OPS = {
-    "union": frozenset.union,
-    "intersection": frozenset.intersection,
-    "difference": frozenset.difference,
-    "xor": frozenset.symmetric_difference,
-}
+_SET_OPS = dict(zip(SET_OPS, (frozenset.union, frozenset.intersection, frozenset.difference,
+                              frozenset.symmetric_difference)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,8 +51,7 @@ class PointSet:
         return _wrap(dim, stride, anchor, pts)
 
     def op(self, name: str, other: "PointSet") -> "PointSet":
-        if name not in _SET_OPS:
-            raise UsageError(f"unknown set operation {name!r}")
+        check_op(name)
         off = check_operands(self, other)
         return _wrap(self.dim, self.stride, off, frozenset(_SET_OPS[name](self.points, other.points)))
 

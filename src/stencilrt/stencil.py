@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -52,46 +53,36 @@ class StencilRun:
     iter_seconds: list[float] = field(default_factory=list)
 
 
-def run_serial(n: int, iters: int, seed: int) -> StencilRun:
+def _iterate(n: int, iters: int, seed: int, sweep: Callable[[np.ndarray, np.ndarray], float]) -> StencilRun:
+    """Jacobi iterations from the seeded field: sweep(dst, src) updates the
+    interior of dst, a copy of src, and returns the seconds it took."""
     src = make_field(n, seed)
-    out = StencilRun(src)
+    seconds = []
     for _ in range(iters):
         dst = src.copy()
+        seconds.append(sweep(dst, src))
+        src = dst
+    return StencilRun(src, seconds)
+
+
+def run_serial(n: int, iters: int, seed: int) -> StencilRun:
+    def sweep(dst: np.ndarray, src: np.ndarray) -> float:
         t0 = time.perf_counter()
         _update_rows(dst, src, 1, n - 1, 1, n - 1, 1, n - 1)
-        out.iter_seconds.append(time.perf_counter() - t0)
-        src = dst
-    out.final = src
-    return out
+        return time.perf_counter() - t0
+    return _iterate(n, iters, seed, sweep)
 
 
 def run_naive(n: int, iters: int, seed: int, n_threads: int) -> StencilRun:
-    src = make_field(n, seed)
-    out = StencilRun(src)
     space = IndexSpace((1, 1, 1), (n - 1, n - 1, n - 1))
-    for _ in range(iters):
-        dst = src.copy()
-        out.iter_seconds.append(run_static(space, _piece_kernel(dst, src), n_threads))
-        src = dst
-    out.final = src
-    return out
+    return _iterate(n, iters, seed, lambda dst, src: run_static(space, _piece_kernel(dst, src), n_threads))
 
 
 def run_tuned(n: int, iters: int, seed: int, topo: TopologyConfig) -> tuple[StencilRun, Tuner]:
-    src = make_field(n, seed)
-    out = StencilRun(src)
     space = IndexSpace((1, 1, 1), (n - 1, n - 1, n - 1))
-    setup = LoopSetup(
-        "laplacian3d", space.extents, "vector",
-        topo.n_coarse_threads, topo.n_fine_threads,
-    )
+    setup = LoopSetup("laplacian3d", space.extents, "vector", topo.n_coarse_threads, topo.n_fine_threads)
     tuner = Tuner(topo)
-    for _ in range(iters):
-        dst = src.copy()
-        out.iter_seconds.append(run_loop(setup, space, _piece_kernel(dst, src), tuner))
-        src = dst
-    out.final = src
-    return out, tuner
+    return _iterate(n, iters, seed, lambda dst, src: run_loop(setup, space, _piece_kernel(dst, src), tuner)), tuner
 
 
 def bit_identical(a: np.ndarray, b: np.ndarray) -> bool:

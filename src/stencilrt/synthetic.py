@@ -43,10 +43,7 @@ class SyntheticSurface:
         main = 1.0 + self.bowl_weight * bowl
         if p.coarse_split != self.opt_coarse:
             main += self.split_penalty
-        vol = 1
-        for t in p.tile_size:
-            vol *= t
-        if vol > self.cliff_volume:
+        if math.prod(p.tile_size) > self.cliff_volume:
             main *= self.cliff_penalty
         decoy_bowl = sum(
             (math.log2(t) - math.log2(o)) ** 2

@@ -12,12 +12,14 @@ through four nested mechanisms, each level partitioning its parent exactly:
    tile in the block, with no wait between tiles;
 4. lane-aligned inner runs via vlanes.iterate_masked inside the kernel.
 
-The space is checked when it is built, the parameters once in build_plan,
-which rejects any split, tile size or vector width below 1.  A plan cuts
-each block when asked, each dimension once into tile intervals and each of
-those once into fine chunks; the pieces are IndexSpaces built unchecked.
-The calling thread is the first worker of every group, so a run with one
-coarse and one fine worker starts no thread at all.
+The space is checked when it is built, the parameters once in build_plan
+by tuner.check_shape, which rejects any split, tile size or vector width
+below 1.  A plan cuts each block when asked, each dimension once into tile
+intervals and each of those once into fine chunks; the pieces are
+IndexSpaces built unchecked.  Every entry that runs a plan checks its thread
+counts with tuner.check_threads before any thread starts.  The calling
+thread is the first worker of every group, so a run with one coarse and one
+fine worker starts no thread at all.
 
 Interior cut points along the innermost dimension are multiples of the lane
 width, so masked partial stores are only ever needed at the boundary of the
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .lattice import BBox, Point, Stride, UsageError
-from .tuner import ExecParams, LoopSetup, Tuner
+from .tuner import ExecParams, LoopSetup, Tuner, check_shape, check_threads
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,9 +107,13 @@ class SplitPlan:
     def slices(self, tile: IndexSpace) -> list[IndexSpace]:
         return self._split([[iv] for iv in zip(tile.lo, tile.hi)], self.params.fine_split)[0]
 
+    def tile_slices(self, block: IndexSpace) -> list[list[IndexSpace]]:
+        """The fine slices of each tile of the block, tiles in order."""
+        return self._split(_grid_cuts(block, self.params.tile_size), self.params.fine_split)
+
     def pieces(self):
         for block in self.blocks():
-            for slices in self._split(_grid_cuts(block, self.params.tile_size), self.params.fine_split):
+            for slices in self.tile_slices(block):
                 yield from slices
 
     def _split(self, intervals_per_dim, split: tuple[int, ...]) -> list[list[IndexSpace]]:
@@ -145,11 +151,7 @@ def _cells(intervals_per_dim) -> list[IndexSpace]:
 
 def build_plan(space: IndexSpace, p: ExecParams) -> SplitPlan:
     """Deterministic nested decomposition, checked here once; impossible splits degrade to fewer pieces."""
-    sizes = (p.coarse_split, p.tile_size, p.fine_split)
-    if any(len(v) != space.dim for v in sizes):
-        raise UsageError("params dimension disagrees with index space")
-    if p.vector_width < 1 or any(n < 1 for v in sizes for n in v):
-        raise UsageError(f"params must be positive: {p.flat()}")
+    check_shape(p, space.dim)
     return SplitPlan(space, p)
 
 
@@ -184,7 +186,7 @@ def _run_group(n: int, work: Callable[[int], None]) -> None:
 def execute_plan(plan: SplitPlan, kernel: Kernel, n_coarse: int, n_fine: int) -> None:
     """Run the kernel over every piece: coarse workers pull blocks from a
     queue; within a block, fine worker f runs slices f::n_fine of every tile."""
-    n_fine = max(1, n_fine)
+    check_threads(n_coarse, n_fine)
     work: queue.SimpleQueue = queue.SimpleQueue()
     for block in plan.blocks():
         work.put(block)
@@ -203,13 +205,13 @@ def execute_plan(plan: SplitPlan, kernel: Kernel, n_coarse: int, n_fine: int) ->
             except queue.Empty:
                 return
             try:
-                tiles = plan._split(_grid_cuts(block, plan.params.tile_size), plan.params.fine_split)
+                tiles = plan.tile_slices(block)
                 _run_group(n_fine, lambda f: fine_worker(tiles, f))
             except BaseException:  # stop every coarse worker pulling blocks
                 failed = True
                 raise
 
-    _run_group(max(1, n_coarse), coarse_worker)
+    _run_group(n_coarse, coarse_worker)
 
 
 def run_loop(setup: LoopSetup, space: IndexSpace, kernel: Kernel, tuner: Tuner) -> float:
@@ -218,6 +220,8 @@ def run_loop(setup: LoopSetup, space: IndexSpace, kernel: Kernel, tuner: Tuner) 
     Returns the elapsed wall-clock seconds, plan build included.  A failing
     kernel propagates after the pool quiesces and its timing is discarded.
     """
+    if space.extents != setup.extents:
+        raise UsageError(f"index space extents {space.extents} differ from the setup's {setup.extents}")
     params = tuner.next_params(setup)
     start = time.perf_counter()
     execute_plan(build_plan(space, params), kernel, setup.n_coarse_threads, setup.n_fine_threads)
@@ -229,11 +233,11 @@ def run_loop(setup: LoopSetup, space: IndexSpace, kernel: Kernel, tuner: Tuner) 
 def run_static(space: IndexSpace, kernel: Kernel, n_threads: int) -> float:
     """Naive baseline: one even chunk of the outermost dimension per thread,
     no tiling, no tuning.  Returns elapsed seconds."""
-    n = max(1, n_threads)
+    check_threads(n_threads, 1)
     ones = (1,) * space.dim
     # tiles are cut at absolute multiples of their size, so max(-lo, hi) leaves at most one cut, at 0
     tile = tuple(max(1, -l, h) for l, h in zip(space.lo, space.hi))
-    params = ExecParams(ones[1:] + (n,), tile, ones, 1)
+    params = ExecParams(ones[1:] + (n_threads,), tile, ones, 1)
     start = time.perf_counter()
-    execute_plan(build_plan(space, params), kernel, n, 1)
+    execute_plan(build_plan(space, params), kernel, n_threads, 1)
     return time.perf_counter() - start

@@ -30,7 +30,7 @@ from operator import le
 from pathlib import Path
 
 from .lattice import UsageError
-from .vlanes import _check_width
+from .vlanes import check_width
 
 MEDIAN_WINDOW = 5
 MAX_THREADS = 64  # coarse x fine threads of one loop
@@ -54,8 +54,8 @@ class TopologyConfig:
     rng_seed: int = 12345
 
     def __post_init__(self) -> None:
-        _check_threads(self.n_coarse_threads, self.n_fine_threads)
-        _check_width(self.lane_width)
+        check_threads(self.n_coarse_threads, self.n_fine_threads)
+        check_width(self.lane_width)
         if not 0 <= self.p_restart <= 1:
             raise UsageError(f"p_restart must lie in [0, 1]: {self.p_restart}")
         if not self.abort_factor > 1:
@@ -92,7 +92,8 @@ class TopologyConfig:
         return max(1, self.cache_line_bytes // 8)
 
 
-def _check_threads(n_coarse: int, n_fine: int) -> None:
+def check_threads(n_coarse: int, n_fine: int) -> None:
+    """The thread counts of one loop: each at least 1, together at most MAX_THREADS."""
     if n_coarse < 1 or n_fine < 1:
         raise UsageError(f"thread counts must be at least 1: {n_coarse}, {n_fine}")
     if n_coarse * n_fine > MAX_THREADS:
@@ -112,7 +113,7 @@ class LoopSetup:
     def __post_init__(self) -> None:
         if not self.extents or any(e <= 0 for e in self.extents):
             raise UsageError(f"extents must be a non-empty tuple of positive sizes: {self.extents}")
-        _check_threads(self.n_coarse_threads, self.n_fine_threads)
+        check_threads(self.n_coarse_threads, self.n_fine_threads)
         if self.alignment not in ("vector", "cache_line"):
             raise UsageError(f"unknown alignment class {self.alignment!r}")
 
@@ -136,21 +137,26 @@ class ExecParams:
             "x".join(map(str, self.fine_split)) + "/w" + str(self.vector_width)
 
 
+def check_shape(p: ExecParams, dim: int) -> None:
+    """One entry per dimension in each vector, and every split, tile size and
+    the vector width at least 1: what any plan of a dim-dimensional space needs."""
+    if len(p.coarse_split) != dim or len(p.tile_size) != dim or len(p.fine_split) != dim:
+        raise UsageError(f"params {p.flat()} disagree with dimension {dim}")
+    if p.vector_width < 1 or min(p.coarse_split + p.tile_size + p.fine_split, default=1) < 1:
+        raise UsageError(f"params must be positive: {p.flat()}")
+
+
 def _inner_unit(setup: LoopSetup, topo: TopologyConfig) -> int:
     """Innermost tile sizes must be multiples of this: W, or the cache line
     for padded (cache_line aligned) arrays."""
-    w = topo.lane_width
     if setup.alignment == "cache_line":
-        line = topo.cache_line_elems
-        return line * w // math.gcd(line, w)
-    return w
+        return math.lcm(topo.cache_line_elems, topo.lane_width)
+    return topo.lane_width
 
 
 def check_params(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> None:
     """Raise unless p satisfies every invariant for this setup."""
-    d = setup.dim
-    if len(p.coarse_split) != d or len(p.tile_size) != d or len(p.fine_split) != d:
-        raise UsageError("parameter vectors disagree with setup dimension")
+    check_shape(p, setup.dim)
     if math.prod(p.coarse_split) != setup.n_coarse_threads:
         raise UsageError(f"coarse split {p.coarse_split} does not use {setup.n_coarse_threads} threads")
     if math.prod(p.fine_split) != setup.n_fine_threads:
@@ -158,7 +164,7 @@ def check_params(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> None:
     if p.vector_width != topo.lane_width:
         raise UsageError(f"vector width {p.vector_width} != configured {topo.lane_width}")
     for i, (t, e) in enumerate(zip(p.tile_size, setup.extents)):
-        if t < 1 or t > e:
+        if t > e:
             raise UsageError(f"tile size {t} out of range 1..{e} in dim {i}")
     unit = _inner_unit(setup, topo)
     t0, e0 = p.tile_size[0], setup.extents[0]

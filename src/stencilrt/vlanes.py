@@ -25,7 +25,7 @@ from .lattice import UsageError
 MAX_WIDTH = 16
 
 
-def _check_width(w: int) -> int:
+def check_width(w: int) -> int:
     if w < 1 or w > MAX_WIDTH or w & (w - 1):
         raise UsageError(f"lane width must be a power of two in 1..{MAX_WIDTH}: {w}")
     return w
@@ -59,11 +59,11 @@ class LaneMask:
 
 
 def vset1(s: float, width: int) -> LaneVector:
-    return LaneVector((float(s),) * _check_width(width))
+    return LaneVector((float(s),) * check_width(width))
 
 
 def mask_full(width: int, value: bool = True) -> LaneMask:
-    return LaneMask((value,) * _check_width(width))
+    return LaneMask((value,) * check_width(width))
 
 
 class AlignedArray:
@@ -77,7 +77,7 @@ class AlignedArray:
     __slots__ = ("width", "length", "padding", "_buf")
 
     def __init__(self, length: int, width: int, padding: int | None = None, fill: float = 0.0):
-        _check_width(width)
+        check_width(width)
         if padding is None:
             padding = width
         if length < 0:
@@ -321,7 +321,7 @@ def iterate_masked(imin: int, imax: int, width: int) -> Iterator[tuple[int, Lane
     i < imax; the mask activates exactly the lanes l with imin <= i+l < imax.
     Every index in [imin, imax) is covered by exactly one active lane.
     """
-    _check_width(width)
+    check_width(width)
     if imin > imax:
         raise UsageError(f"iteration bounds inverted: [{imin}, {imax})")
     if imin == imax:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from stencilrt.bboxset import BBoxSet
-from stencilrt.lattice import BBox, Point, ResourceError, Stride, UsageError, point, stride
+from stencilrt.lattice import SET_OPS, BBox, Point, ResourceError, Stride, UsageError, point, stride
 from stencilrt.oracle import PointSet, oracle_from_bboxset, oracle_to_bboxset
 
 
@@ -25,6 +25,11 @@ class TestSetSemantics:
 
     def test_intersection(self):
         assert pset(1, 2, 3).intersection(pset(2, 3, 4)).points == {(2,), (3,)}
+
+    @pytest.mark.parametrize("name", SET_OPS)
+    def test_op_runs_every_set_op(self, name):
+        expected = {"union": {1, 2, 3, 4}, "intersection": {2, 3}, "difference": {1}, "xor": {1, 4}}
+        assert pset(1, 2, 3).op(name, pset(2, 3, 4)).points == {(c,) for c in expected[name]}
 
 
 class TestConversions:

@@ -22,6 +22,7 @@ from stencilrt.tuner import (
     LoopSetup,
     TopologyConfig,
     Tuner,
+    check_params,
     enumerate_valid_params,
 )
 
@@ -209,6 +210,21 @@ class TestBuildPlan:
         with pytest.raises(UsageError):
             build_plan(IndexSpace((0,) * len(params.tile_size), (8,) * len(params.tile_size)), params)
 
+    @pytest.mark.parametrize("params", [
+        ExecParams((2,), (8, 8), (1, 1), 4),          # dimension
+        ExecParams((-1, -2), (8, 8), (1, 1), 4),      # negative splits whose product is the thread count
+        ExecParams((2, 1), (8, 8), (-1, -1), 4),
+        ExecParams((2, 1), (0, 8), (1, 1), 4),        # tile below 1
+        ExecParams((2, 1), (8, 8), (1, 1), 0),        # vector width below 1
+    ])
+    def test_shape_rejected_with_the_tuner_text(self, params):
+        """build_plan and check_params reject a bad shape with one text."""
+        with pytest.raises(UsageError) as plan_error:
+            build_plan(IndexSpace((0, 0), (64, 64)), params)
+        with pytest.raises(UsageError) as tuner_error:
+            check_params(params, LoopSetup("s", (64, 64), "vector", 2, 1), TopologyConfig(lane_width=4))
+        assert str(plan_error.value) == str(tuner_error.value)
+
     def test_every_valid_param_builds(self):
         for ext in [(7,), (12, 5), (9, 6, 4)]:
             setup = LoopSetup("v", ext, "vector", 2, 2)
@@ -370,6 +386,17 @@ class TestRunLoop:
             run_loop(setup, IndexSpace((0,), (16,)), bad, tuner)
         assert tuner.log == []
 
+    @pytest.mark.parametrize("lo, hi", [((0,), (17,)), ((1,), (16,)), ((0, 0), (16, 1))])
+    def test_space_the_setup_does_not_describe_rejected(self, lo, hi):
+        setup = LoopSetup("s", (16,), "vector", 1, 1)
+        tuner = Tuner(TopologyConfig(lane_width=4))
+        ran = []
+        with pytest.raises(UsageError, match="extents"):
+            run_loop(setup, IndexSpace(lo, hi), ran.append, tuner)
+        assert ran == []
+        assert tuner.log == []
+        assert tuner._states == {}
+
     def test_output_identical_across_params_and_worker_counts(self, rng):
         n = 257
         vals = [rng.uniform(-5, 5) for _ in range(n)]
@@ -411,6 +438,17 @@ def thread_starts(monkeypatch):
     return started
 
 
+@pytest.fixture
+def no_thread_start(monkeypatch):
+    """Thread.start raises, so a call that misses a thread-count check fails
+    without starting any thread."""
+
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
 class TestExecuteThreads:
     # 2 blocks of 2 x 2 tiles, each tile cut into 2 fine slices along dim 1
     SPACE = IndexSpace((0, 0), (32, 16))
@@ -424,6 +462,13 @@ class TestExecuteThreads:
         execute_plan(plan, executed.append, n_coarse, n_fine)
         assert len(thread_starts) == expected
         assert_partition(self.SPACE, executed)
+
+    @pytest.mark.parametrize("n_coarse, n_fine", [(0, 1), (1, 0), (-1, 1), (65, 1), (9, 8)])
+    def test_bad_thread_counts_rejected(self, no_thread_start, n_coarse, n_fine):
+        ran = []
+        with pytest.raises(UsageError, match="thread"):
+            execute_plan(build_plan(self.SPACE, self.PARAMS), ran.append, n_coarse, n_fine)
+        assert ran == []
 
     @pytest.mark.parametrize("failing_on_main", [False, True])
     def test_fine_worker_error_propagates_and_no_thread_left(self, failing_on_main):
@@ -506,13 +551,23 @@ class TestRunStatic:
         run_static(space, executed.append, 3)
         assert_partition(space, executed)
 
-    @pytest.mark.parametrize("lo, hi", [((0,), (0,)), ((-3, 0), (5, 2)), ((2, 0, -4), (9, 3, 0))])
-    @pytest.mark.parametrize("n_threads", [0, 1, 3])
+    SPACES = [((0,), (0,)), ((-3, 0), (5, 2)), ((2, 0, -4), (9, 3, 0))]
+
+    @pytest.mark.parametrize("lo, hi", SPACES)
+    @pytest.mark.parametrize("n_threads", [1, 3])
     def test_builds_for_any_space(self, lo, hi, n_threads):
         space = IndexSpace(lo, hi)
         executed = []
         run_static(space, executed.append, n_threads)
         assert_partition(space, executed)
+
+    @pytest.mark.parametrize("lo, hi", SPACES)
+    @pytest.mark.parametrize("n_threads", [0, -1, 65])
+    def test_bad_thread_count_rejected(self, no_thread_start, lo, hi, n_threads):
+        executed = []
+        with pytest.raises(UsageError, match="thread"):
+            run_static(IndexSpace(lo, hi), executed.append, n_threads)
+        assert executed == []
 
     @pytest.mark.parametrize("lo, hi, n_pieces", [
         ((-64,) * 3, (0,) * 3, 2),      # one tile per block, not one per point

@@ -297,6 +297,8 @@ def test_neighbors_match_checked_reference():
     ExecParams((1, 2, 2), (12, 8, 8), (1, 1, 1), 4),    # innermost tile on the grid, off the domain
     ExecParams((1, 2, 2), (8, 12, 8), (1, 1, 1), 4),    # outer tile off the domain
     ExecParams((2, 2), (8, 8), (1, 1), 4),              # dimension
+    ExecParams((-1, -2, 2), (8, 8, 8), (1, 1, 1), 4),   # negative coarse pair, product 4
+    ExecParams((1, 2, 2), (8, 8, 8), (-1, -1, 1), 4),   # negative fine pair, product 1
 ])
 def test_neighbors_reject_invalid_params(bad):
     with pytest.raises(UsageError):
