@@ -237,7 +237,8 @@ def run_static(space: IndexSpace, kernel: Kernel, n_threads: int) -> float:
     ones = (1,) * space.dim
     # tiles are cut at absolute multiples of their size, so max(-lo, hi) leaves at most one cut, at 0
     tile = tuple(max(1, -l, h) for l, h in zip(space.lo, space.hi))
-    params = ExecParams(ones[1:] + (n_threads,), tile, ones, 1)
+    coarse = ones[1:] + (n_threads,) if space.dim else ()  # a 0-d space is one piece
+    params = ExecParams(coarse, tile, ones, 1)
     start = time.perf_counter()
     execute_plan(build_plan(space, params), kernel, n_threads, 1)
     return time.perf_counter() - start

@@ -16,17 +16,17 @@ wall-clock measurements, and walks the one space enumerate_valid_params lists:
 
 Thread counts are fixed at configuration time and never tuned.  All index
 vectors (extents, tiles, splits) are ordered innermost dimension first.
+Each LoopSetup and ExecParams hashes itself, and each ExecParams formats flat(), at most once.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
-import statistics
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
-from operator import le
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, le
 from pathlib import Path
 
 from .lattice import UsageError
@@ -100,7 +100,36 @@ def check_threads(n_coarse: int, n_fine: int) -> None:
         raise UsageError(f"coarse x fine threads must not exceed {MAX_THREADS}")
 
 
-@dataclass(frozen=True)
+def _hashed_once(cls):
+    """Give a frozen dataclass a field hash computed at most once per
+    instance, and an equality that checks identity, then hashes, then fields.
+    Pickles carry the fields only: a cached hash of a str is per process."""
+    key = attrgetter(*(f.name for f in fields(cls)))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return hash(self) == hash(other) and key(self) == key(other)
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    cls._hash = None
+    cls.__hash__, cls.__eq__, cls.__getstate__ = __hash__, __eq__, __getstate__
+    return cls
+
+
+@_hashed_once
+@dataclass(frozen=True, eq=False)
 class LoopSetup:
     """Identity key for tuning; equal setups share one tuning history."""
 
@@ -122,7 +151,8 @@ class LoopSetup:
         return len(self.extents)
 
 
-@dataclass(frozen=True)
+@_hashed_once
+@dataclass(frozen=True, eq=False)
 class ExecParams:
     """One point in the tunable space; thread counts are never changed."""
 
@@ -131,10 +161,16 @@ class ExecParams:
     fine_split: tuple[int, ...]
     vector_width: int
 
+    _text = None  # flat(), once formatted
+
     def flat(self) -> str:
-        return "x".join(map(str, self.coarse_split)) + "/" + \
-            "x".join(map(str, self.tile_size)) + "/" + \
-            "x".join(map(str, self.fine_split)) + "/w" + str(self.vector_width)
+        text = self._text
+        if text is None:
+            text = "x".join(map(str, self.coarse_split)) + "/" + \
+                "x".join(map(str, self.tile_size)) + "/" + \
+                "x".join(map(str, self.fine_split)) + "/w" + str(self.vector_width)
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 def check_shape(p: ExecParams, dim: int) -> None:
@@ -315,7 +351,7 @@ def neighbors(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> list[Exe
             raise UsageError(f"tile size {t} in dim {i} is not in the tuner's domain {domain}")
         k = domain.index(t)
         for v in domain[k + 1:k + 2] + domain[max(0, k - 1):k]:
-            out.append(replace(p, tile_size=_set(p.tile_size, i, v)))
+            out.append(ExecParams(p.coarse_split, _set(p.tile_size, i, v), p.fine_split, p.vector_width))
 
     out.extend(_split_moves(p, setup, coarse=True))
     out.extend(_split_moves(p, setup, coarse=False))
@@ -348,6 +384,13 @@ def _split_moves(p: ExecParams, setup: LoopSetup, coarse: bool) -> list[ExecPara
 
 
 # -- the optimizer state machine ----------------------------------------------
+
+def _median(window: deque) -> float:
+    """statistics.median of a short window, from one sort."""
+    s = sorted(window)
+    n = len(s)
+    return s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
+
 
 _INITIAL = "initial"
 _CLIMBING = "climbing"
@@ -389,13 +432,20 @@ class Tuner:
             self._states[setup] = st
         return st
 
+    def _known(self, setup: LoopSetup, caller: str) -> _SetupState:
+        """The setup's state; a setup next_params never saw has none."""
+        st = self._states.get(setup)
+        if st is None:
+            raise UsageError(f"{caller} before next_params for this setup")
+        return st
+
     def next_params(self, setup: LoopSetup) -> ExecParams:
         """Advance the state machine and return the setting to execute next."""
         st = self._state(setup)
         if st.best_params is None:
             return st.start  # warm-up and first measured sample of the heuristic
 
-        if st.phase == _EXCURSION and self.should_abort_excursion(setup, st.last_elapsed):
+        if st.phase == _EXCURSION and self._abort(st, st.last_elapsed):
             st.pending.clear()
             return self._settle(st)
 
@@ -431,11 +481,9 @@ class Tuner:
 
     def record_timing(self, setup: LoopSetup, params: ExecParams, elapsed: float) -> None:
         """Fold one wall-clock measurement into the per-setting medians."""
-        if not (elapsed == elapsed and elapsed >= 0 and elapsed != float("inf")):
+        if not 0 <= elapsed < math.inf:
             raise UsageError(f"rejecting non-finite or negative timing {elapsed!r}")
-        if setup not in self._states:
-            raise UsageError("record_timing before next_params for this setup")
-        st = self._states[setup]
+        st = self._known(setup, "record_timing")
         if not st.warmed_up:
             # the first execution of a setup pays warm-up costs; discard it
             st.warmed_up = True
@@ -445,7 +493,7 @@ class Tuner:
         if window is None:
             window = st.samples[params] = deque(maxlen=MEDIAN_WINDOW)
         window.append(elapsed)
-        med = statistics.median(window)
+        med = _median(window)
         if med < st.best_time:
             st.best_time = med
             st.best_params = params
@@ -454,17 +502,19 @@ class Tuner:
 
     def should_abort_excursion(self, setup: LoopSetup, latest: float | None) -> bool:
         """True when the latest single sample is bad enough to flee from."""
-        st = self._states[setup]
-        if latest is None or st.best_time == float("inf"):
+        return self._abort(self._known(setup, "should_abort_excursion"), latest)
+
+    def _abort(self, st: _SetupState, latest: float | None) -> bool:
+        if latest is None or st.best_time == math.inf:
             return False
         return latest > self.topo.abort_factor * st.best_time
 
     def best(self, setup: LoopSetup) -> tuple[ExecParams | None, float]:
-        st = self._states[setup]
+        st = self._known(setup, "best")
         return st.best_params, st.best_time
 
     def phase(self, setup: LoopSetup) -> str:
-        return self._states[setup].phase
+        return self._known(setup, "phase").phase
 
     def _log_row(self, setup, st, params, elapsed, warmup):
         self.log.append({

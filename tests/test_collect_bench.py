@@ -1,5 +1,8 @@
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 spec = importlib.util.spec_from_file_location(
     "collect_bench", Path(__file__).resolve().parent.parent / "tools" / "collect_bench.py")
@@ -45,3 +48,72 @@ def test_compare_resolves_wide_spreads_whose_runs_do_not_overlap():
     assert "within bound" in line
     (line,) = collect_bench.compare(_file(op_p50_ms=fast), _file(op_p50_ms=slow), BOUNDS)[1:]
     assert "WORSE beyond bound 0.25" in line
+
+
+def _stub_runs(monkeypatch, value):
+    """Replace run_once by a stub that logs each call and reads its figures from value(side, seed)."""
+    calls = []
+
+    def run_once(repo, command, workload, seed, seconds, trace):
+        side = repo.name
+        calls.append((side, seed, trace))
+        return {"seed": seed, "trace": trace, "correct": True, "attempted": 100, "failed": 0,
+                "metrics": {m: {"value": value(side, seed)[m]} for m in BOUNDS}}
+
+    monkeypatch.setattr(collect_bench, "run_once", run_once)
+    return calls
+
+
+def _checkouts(tmp_path):
+    for side in ("old", "new"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"command": ["python3", "bench/run.py"],
+                                                                   "run_seconds": 1}))
+    return tmp_path / "new", tmp_path / "old"
+
+
+def test_pairs_share_a_seed_alternate_order_and_end_on_the_held_out_seed(monkeypatch, tmp_path):
+    calls = _stub_runs(monkeypatch, lambda side, seed: {"op_p50_ms": 1.0, "ops_per_s": 1.0})
+    pairs = collect_bench.run_pairs(*_checkouts(tmp_path), "w", 4)
+    assert calls == [("old", 1001, 0), ("new", 1001, 0), ("new", 1002, 0), ("old", 1002, 0),
+                     ("old", 1003, 0), ("new", 1003, 0), ("new", 424242, 0), ("old", 424242, 0)]
+    assert [p["seed"] for p in pairs] == [1001, 1002, 1003, 424242]
+    assert collect_bench.pair_seeds(1) == [424242]
+
+
+def test_pair_report_counts_wins_by_direction_and_not_ties(monkeypatch, tmp_path):
+    # op_p50_ms: new lower in pairs 1 and 2, tied in 3, higher in 4; ops_per_s: new higher in 3 of 4
+    p50 = {1001: (10, 8), 1002: (10, 9), 1003: (10, 10), 424242: (10, 11)}
+    rate = {1001: (5, 6), 1002: (5, 7), 1003: (5, 4), 424242: (5, 9)}
+    side_of = {"old": 0, "new": 1}
+    _stub_runs(monkeypatch, lambda side, seed: {"op_p50_ms": p50[seed][side_of[side]],
+                                                "ops_per_s": rate[seed][side_of[side]]})
+    pairs = collect_bench.run_pairs(*_checkouts(tmp_path), "w", 4)
+    lines = {line.split()[0]: line for line in collect_bench.pair_report(pairs, BOUNDS)[1:]}
+    assert lines["op_p50_ms"].endswith("2/4")
+    assert lines["ops_per_s"].endswith("3/4")
+    assert "10 [10, 10]" in lines["op_p50_ms"] and "9.5 [8.75, 10.25]" in lines["op_p50_ms"]
+    assert lines["ops"].split()[1:] == ["100", "[100,", "100]", "100", "[100,", "100]"]
+    assert lines["every"] == "every run correct, none failed"
+
+
+def test_pair_report_names_failed_runs():
+    run = lambda ok: {"correct": ok, "attempted": 1, "failed": 0,
+                      "metrics": {m: {"value": 1.0} for m in BOUNDS}}
+    lines = collect_bench.pair_report([{"seed": 7, "old": run(True), "new": run(False)}], BOUNDS)
+    assert lines[-1] == "checks failed: new seed 7"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--pairs", "3"],
+    ["--pairs", "3", "--against", "."],
+    ["--against", ".", "--workload", "tune-noisy"],
+    ["--label", "x", "--pairs", "3", "--against", ".", "--workload", "tune-noisy"],
+    ["--pairs", "0", "--against", ".", "--workload", "tune-noisy"],
+    ["--pairs", "3", "--against", ".", "--workload", "no-such-workload"],
+])
+def test_pairs_arguments_checked(monkeypatch, argv):
+    monkeypatch.setattr(collect_bench, "run_pairs", lambda *a: pytest.fail("ran with bad arguments"))
+    with pytest.raises(SystemExit) as exc:
+        collect_bench.main(argv)
+    assert exc.value.code == 2

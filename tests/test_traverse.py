@@ -561,6 +561,13 @@ class TestRunStatic:
         run_static(space, executed.append, n_threads)
         assert_partition(space, executed)
 
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_zero_dimensional_space_runs_its_one_piece(self, n_threads):
+        # build_plan and execute_plan run the one piece of a 0-d space; so must the baseline
+        executed = []
+        run_static(IndexSpace((), ()), executed.append, n_threads)
+        assert executed == [IndexSpace((), ())]
+
     @pytest.mark.parametrize("lo, hi", SPACES)
     @pytest.mark.parametrize("n_threads", [0, -1, 65])
     def test_bad_thread_count_rejected(self, no_thread_start, lo, hi, n_threads):

@@ -1,9 +1,14 @@
+import hashlib
 import math
+import pickle
 import random
+import statistics
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import stencilrt.tuner as tuner
 from stencilrt.lattice import UsageError
@@ -421,8 +426,83 @@ class TestRecordTiming:
 
     def test_record_before_next_rejected(self):
         tuner = Tuner(TOPO4)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="before next_params"):
             tuner.record_timing(SETUP3D, params_initial(SETUP3D, TOPO4), 1.0)
+
+    @pytest.mark.parametrize("ask", [
+        lambda t, s: t.best(s),
+        lambda t, s: t.phase(s),
+        lambda t, s: t.should_abort_excursion(s, 1.0),
+    ], ids=["best", "phase", "should_abort_excursion"])
+    def test_queries_of_an_unseen_setup_rejected(self, ask):
+        tuner = Tuner(TOPO4)
+        tuner.next_params(SETUP3D)
+        with pytest.raises(UsageError, match="before next_params"):
+            ask(tuner, LoopSetup("x", (8, 8)))
+        assert list(tuner._states) == [SETUP3D]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=tuner.MEDIAN_WINDOW))
+def test_window_median_is_the_statistics_median(samples):
+    assert tuner._median(deque(samples)) == statistics.median(samples)
+
+
+class TestCachedIdentity:
+    """A setting or setup hashes (and a setting formats its flat() text) once;
+    none of that may change what it equals, its repr or its fields."""
+
+    def test_equal_distinct_settings_agree(self):
+        a = ExecParams((1, 2, 2), (8, 16, 64), (1, 1, 1), 4)
+        b = ExecParams((1, 2, 2), (8, 16, 64), (1, 1, 1), 4)
+        assert a is not b
+        assert a.flat() == "1x2x2/8x16x64/1x1x1/w4"
+        assert a == b and not a != b and hash(a) == hash(b) and b.flat() == a.flat()
+        assert {a: 1}[b] == 1
+
+    def test_settings_differing_in_one_field_differ(self):
+        a = ExecParams((1, 2, 2), (8, 16, 64), (1, 1, 1), 4)
+        for b in (replace(a, coarse_split=(2, 2, 1)), replace(a, tile_size=(8, 16, 32)),
+                  replace(a, fine_split=(1, 1, 2)), replace(a, vector_width=8)):
+            assert a != b and not a == b and b not in {a}
+
+    def test_equal_hashes_still_compare_fields(self):
+        # hash(-1) == hash(-2) in CPython, so these two settings collide
+        a, b = ExecParams((1,), (-1,), (1,), 1), ExecParams((1,), (-2,), (1,), 1)
+        assert hash(a) == hash(b) and a != b and len({a, b}) == 2
+
+    def test_replace_gives_fresh_text_and_hash(self):
+        a = ExecParams((1, 2, 2), (8, 16, 64), (1, 1, 1), 4)
+        a.flat(), hash(a)
+        b = replace(a, tile_size=(4, 16, 64))
+        assert b.flat() == "1x2x2/4x16x64/1x1x1/w4"
+        assert hash(b) == hash(ExecParams((1, 2, 2), (4, 16, 64), (1, 1, 1), 4))
+        assert b != a
+
+    def test_repr_and_fields_unchanged(self):
+        a = ExecParams((1, 2, 2), (8, 16, 64), (1, 1, 1), 4)
+        a.flat(), hash(a)
+        assert repr(a) == "ExecParams(coarse_split=(1, 2, 2), tile_size=(8, 16, 64), fine_split=(1, 1, 1), vector_width=4)"
+        assert [f.name for f in fields(ExecParams)] == ["coarse_split", "tile_size", "fine_split", "vector_width"]
+        assert [f.name for f in fields(LoopSetup)] == [
+            "site_id", "extents", "alignment", "n_coarse_threads", "n_fine_threads"]
+        assert repr(SETUP3D) == ("LoopSetup(site_id='cfg', extents=(64, 64, 64), alignment='vector', "
+                                 "n_coarse_threads=4, n_fine_threads=1)")
+
+    def test_setups_compare_by_fields(self):
+        a = LoopSetup("cfg", (64, 64, 64), "vector", 4, 1)
+        assert a is not SETUP3D and a == SETUP3D and hash(a) == hash(SETUP3D)
+        assert replace(a, site_id="other") != SETUP3D
+        assert a != ExecParams((1, 2, 2), (8, 16, 64), (1, 1, 1), 4) and a != ("cfg", (64, 64, 64))
+
+    def test_pickle_carries_fields_only(self):
+        # a cached hash of a str holds in one process only
+        p = ExecParams((1, 2, 2), (8, 16, 64), (1, 1, 1), 4)
+        p.flat()
+        for obj in (SETUP3D, p):
+            hash(obj)
+            copy = pickle.loads(pickle.dumps(obj))
+            assert vars(copy) == {f.name: getattr(obj, f.name) for f in fields(obj)}
+            assert copy == obj and hash(copy) == hash(obj)
 
 
 class TestAbortRule:
@@ -523,6 +603,13 @@ class TestSimulation:
         r1 = run_simulation(10, 40, TOPO4)
         r2 = run_simulation(10, 40, TOPO4)
         assert [r.sampled for r in r1.results] == [r.sampled for r in r2.results]
+
+    def test_decisions_pinned(self):
+        """Criterion 8's sampled sequences, fixed: a change meant to alter the
+        tuner's decisions updates this digest on purpose; any other must keep it."""
+        sampled = [r.sampled for r in run_simulation(100, 50, TOPO4).results]
+        digest = hashlib.sha256(repr(sampled).encode()).hexdigest()
+        assert digest == "57c5610871063b3d67e8a724d0090528adcc4bd219241f836f88e2999c9011de"
 
 
 def test_csv_log_schema(tmp_path):

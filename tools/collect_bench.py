@@ -3,6 +3,7 @@
 
     python3 tools/collect_bench.py --label NAME [--repo DIR]
     python3 tools/collect_bench.py --compare OLD.json NEW.json
+    python3 tools/collect_bench.py --pairs N --against OLD_DIR --workload NAME [--repo DIR]
 
 Collecting runs ``bench/run.py`` of the checkout DIR (default: the one this
 file belongs to) once per workload listed in its ``BENCHMARK.json``, per seed
@@ -20,6 +21,13 @@ Comparing prints new/old median ratios for every metric both files hold, and
 marks an end-to-end metric that got worse by more than its bound in
 ``BENCHMARK.json``, or whose runs spread wider than that bound while the
 runs of the two files overlap.
+
+Pairing runs one workload untraced in two checkouts, OLD_DIR and DIR, N
+times each: pair k runs both on one seed (1001 + k, and 424242 for the last
+pair), and the side that runs first alternates from pair to pair, so a
+machine phase that lasts a pair slows both sides alike.  It prints each
+side's median and quartiles per end-to-end metric, and in how many pairs the
+new side did better (a tie counts for neither side).
 """
 from __future__ import annotations
 
@@ -152,22 +160,79 @@ def compare(old: dict, new: dict, bounds: dict[str, dict]) -> list[str]:
     return lines
 
 
+def pair_seeds(n: int) -> list[int]:
+    """One seed per pair: 1001, 1002, ... and the held-out 424242 last."""
+    return [SEEDS[0] + k for k in range(n - 1)] + [SEEDS[-1]]
+
+
+def run_pairs(new: Path, old: Path, workload: str, n: int) -> list[dict]:
+    """n pairs of untraced runs of one workload in two checkouts, one seed a
+    pair, the side that runs first alternating."""
+    spec = json.loads((new / "BENCHMARK.json").read_text())
+    pairs = []
+    for k, seed in enumerate(pair_seeds(n)):
+        order = [("old", old), ("new", new)]
+        pair = {"seed": seed}
+        for side, repo in order if k % 2 == 0 else order[::-1]:
+            print(f"collect_bench: {workload} pair {k + 1}/{n} seed {seed} {side}", file=sys.stderr, flush=True)
+            pair[side] = run_once(repo, spec["command"], workload, seed, spec["run_seconds"], 0)
+        pairs.append(pair)
+    return pairs
+
+
+def _clean(run: dict) -> bool:
+    return run["correct"] and not run["failed"]
+
+
+def pair_report(pairs: list[dict], bounds: dict[str, dict]) -> list[str]:
+    """Each side's median [q1, q3] per end-to-end metric and the pairs the new
+    side won, then the operation counts, failures and correctness of the runs."""
+    fmt = lambda s: f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
+    lines = [f"{'metric':<14} {'old median [q1, q3]':>30} {'new median [q1, q3]':>30}  new won"]
+    for metric, bound in bounds.items():
+        old, new = ([p[side]["metrics"][metric]["value"] for p in pairs] for side in ("old", "new"))
+        sign = 1 if bound["better"] == "lower" else -1
+        won = sum(sign * (o - n) > 0 for o, n in zip(old, new))
+        lines.append(f"{metric:<14} {fmt(summarize(old)):>30} {fmt(summarize(new)):>30}  {won}/{len(pairs)}")
+    old, new = ([p[side]["attempted"] for p in pairs] for side in ("old", "new"))
+    lines.append(f"{'ops':<14} {fmt(summarize(old)):>30} {fmt(summarize(new)):>30}")
+    bad = [f"{side} seed {p['seed']}" for p in pairs for side in ("old", "new") if not _clean(p[side])]
+    lines.append("every run correct, none failed" if not bad else f"checks failed: {', '.join(bad)}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/collect_bench.py", description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", help="write BENCH_<label>.json from a collection run")
     parser.add_argument("--repo", type=Path, default=HERE, help="checkout whose benchmark runs")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), type=Path)
+    parser.add_argument("--pairs", type=int, metavar="N", help="alternate N pairs of runs of two checkouts")
+    parser.add_argument("--against", type=Path, metavar="OLD_DIR", help="the old checkout of --pairs")
+    parser.add_argument("--workload", help="the workload --pairs runs")
     args = parser.parse_args(argv)
-    if (args.label is None) == (args.compare is None):
-        parser.error("give either --label or --compare")
+    if sum(x is not None for x in (args.label, args.compare, args.pairs)) != 1:
+        parser.error("give one of --label, --compare or --pairs")
+    if (args.pairs is None) != (args.against is None) or (args.pairs is None) != (args.workload is None):
+        parser.error("--pairs, --against and --workload go together")
+    spec = json.loads((HERE / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m for m in spec["end_to_end"]}
     if args.compare:
         old, new = (json.loads(p.read_text()) for p in args.compare)
-        spec = json.loads((HERE / "BENCHMARK.json").read_text())
-        print("\n".join(compare(old, new, {m["name"]: m for m in spec["end_to_end"]})))
+        print("\n".join(compare(old, new, bounds)))
         return 0
     repo = args.repo.resolve()
-    if not (repo / "BENCHMARK.json").is_file():
-        parser.error(f"{repo} holds no BENCHMARK.json")
+    checkouts = [repo] if args.pairs is None else [repo, args.against.resolve()]
+    for checkout in checkouts:
+        if not (checkout / "BENCHMARK.json").is_file():
+            parser.error(f"{checkout} holds no BENCHMARK.json")
+    if args.pairs is not None:
+        if args.pairs < 1:
+            parser.error("--pairs must be at least 1")
+        if args.workload not in {wl["name"] for wl in spec["workloads"]}:
+            parser.error(f"unknown workload {args.workload!r}")
+        pairs = run_pairs(repo, checkouts[1], args.workload, args.pairs)
+        print("\n".join(pair_report(pairs, bounds)))
+        return 0 if all(_clean(p[side]) for p in pairs for side in ("old", "new")) else 1
     data = collect(repo, args.label)
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(data, indent=1) + "\n")
