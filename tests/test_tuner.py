@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import math
 import pickle
 import random
 import statistics
+import tracemalloc
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import fields, replace
 
@@ -50,6 +53,12 @@ class TestTopologyConfig:
         with pytest.raises(UsageError):
             TopologyConfig.from_file(cfg)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        cfg = tmp_path / "topo.cfg"
+        cfg.write_text("lane_width = 4\ncache_line_bytes = 64\nlane_width = 8\n")
+        with pytest.raises(UsageError, match="repeated topology key: lane_width"):
+            TopologyConfig.from_file(cfg)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(UsageError):
             TopologyConfig.from_file(tmp_path / "absent.cfg")
@@ -73,6 +82,8 @@ class TestTopologyConfig:
         {"p_restart": 1.01},
         {"p_restart": float("nan")},
         {"abort_factor": 1.0},
+        {"abort_factor": float("inf")},
+        {"abort_factor": float("nan")},
         {"cache_size_bytes": 0},
         {"cache_line_bytes": -64},
     ])
@@ -255,8 +266,8 @@ def ref_neighbors(p, setup, topo):
             down = lo << ((e - 1) // lo).bit_length() - 1
         if down < t:
             out.append(replace(p, tile_size=tuner._set(p.tile_size, i, down)))
-    out.extend(tuner._split_moves(p, setup, coarse=True))
-    out.extend(tuner._split_moves(p, setup, coarse=False))
+    out.extend(replace(p, coarse_split=m) for m in tuner._split_moves(p.coarse_split, setup))
+    out.extend(replace(p, fine_split=m) for m in tuner._split_moves(p.fine_split, setup))
     seen, uniq = {p}, []
     for q in out:
         if q not in seen:
@@ -269,10 +280,45 @@ def ref_neighbors(p, setup, topo):
     return uniq
 
 
+def ref_random_params(setup, topo, rng):
+    """The earlier route: domains rebuilt on every draw."""
+    coarse = tuner._split_domain(setup.n_coarse_threads, setup)
+    fine = tuner._split_domain(setup.n_fine_threads, setup)
+    tile = tuple(rng.choice(tuner._tile_domain(setup, topo, axis)) for axis in range(setup.dim))
+    return ExecParams(rng.choice(coarse), tile, rng.choice(fine), topo.lane_width)
+
+
+def ref_params_initial(setup, topo):
+    """The earlier route: domains rebuilt on every call."""
+    def initial_split(threads, ext):
+        split = tuner._greedy_split(threads, ext)
+        domain = tuner._split_domain(threads, setup)
+        return split if split in domain else domain[0]
+
+    coarse = initial_split(setup.n_coarse_threads, setup.extents)
+    domains = [tuner._tile_domain(setup, topo, axis) for axis in range(setup.dim)]
+    blocks = [max(1, -(-e // c)) for e, c in zip(setup.extents, coarse)]
+    k = [max(0, bisect_right(dom, b) - 1) for dom, b in zip(domains, blocks)]
+    floor = min(bisect_left(domains[0], 2 * topo.lane_width), len(domains[0]) - 1)
+    k[0] = max(k[0], floor)
+    target = max(1, topo.cache_size_bytes // 16)
+    while math.prod(dom[j] for dom, j in zip(domains, k)) > target:
+        outer = [(domains[i][k[i]], i) for i in range(1, setup.dim) if k[i] > 0]
+        if outer:
+            k[max(outer)[1]] -= 1
+        elif k[0] > floor:
+            k[0] -= 1
+        else:
+            break
+    tile = tuple(dom[j] for dom, j in zip(domains, k))
+    return ExecParams(coarse, tile, initial_split(setup.n_fine_threads, tile), topo.lane_width)
+
+
 def test_neighbors_match_checked_reference():
     """Identical lists on random (setup, params) pairs: 1-4 dims, any extents,
     both alignment classes, lane widths 1-8; params drawn from the enumeration,
-    the heuristic start and short walks from it."""
+    the heuristic start and short walks from it.  The draw and the start equal
+    the uncached routes', and the draw leaves the rng where they leave it."""
     rng = random.Random(80_003)
     pairs = 0
     while pairs < 1200:
@@ -282,7 +328,14 @@ def test_neighbors_match_checked_reference():
                           rng.choice(["vector", "cache_line"]), nc, nf)
         topo = TopologyConfig(n_coarse_threads=nc, n_fine_threads=nf, lane_width=rng.choice([1, 2, 4, 8]),
                               cache_line_bytes=rng.choice([32, 64, 128]))
-        p = rng.choice([random_params(setup, topo, rng), params_initial(setup, topo)])
+        ref_rng = random.Random()
+        ref_rng.setstate(rng.getstate())
+        drawn = random_params(setup, topo, rng)
+        assert drawn == ref_random_params(setup, topo, ref_rng), (setup, topo)
+        assert rng.getstate() == ref_rng.getstate()
+        start = params_initial(setup, topo)
+        assert start == ref_params_initial(setup, topo), (setup, topo)
+        p = rng.choice([drawn, start])
         for _ in range(4):
             ref = ref_neighbors(p, setup, topo)
             assert neighbors(p, setup, topo) == ref, (setup, topo, p)
@@ -308,6 +361,53 @@ def test_neighbors_match_checked_reference():
 def test_neighbors_reject_invalid_params(bad):
     with pytest.raises(UsageError):
         neighbors(bad, SETUP3D, TOPO4)
+
+
+class TestSpaceMemo:
+    def test_one_space_per_setup_across_seeds(self):
+        setup = LoopSetup("memo-seeds", (64, 64, 64), "vector", 4, 1)
+        surface = SyntheticSurface()
+        tuner._space_of.cache_clear()
+        for seed in range(100):
+            t = Tuner(replace(TOPO4, rng_seed=seed))
+            for _ in range(30):
+                p = t.next_params(setup)
+                t.record_timing(setup, p, surface.cost(p))
+        assert tuner._space_of.cache_info().misses == 1
+
+    def test_layout_fields_key_the_space(self):
+        setup = LoopSetup("memo-key", (64, 64), "cache_line", 2, 1)
+        topo = TopologyConfig(n_coarse_threads=2, lane_width=4)
+        same = replace(topo, rng_seed=7, p_restart=0.5, abort_factor=3.0)
+        assert tuner._space(setup, same) is tuner._space(setup, topo)
+        for other in (replace(topo, lane_width=8), replace(topo, cache_line_bytes=128),
+                      replace(topo, cache_size_bytes=4096)):
+            assert tuner._space(setup, other) is not tuner._space(setup, topo)
+
+    def test_memo_bounded(self):
+        topo = TopologyConfig(lane_width=4)
+        for n in range(tuner.SPACE_MEMO + 10):
+            setup = LoopSetup(f"memo-{n}", (16, 16))
+            assert params_initial(setup, topo) == ref_params_initial(setup, topo)
+        info = tuner._space_of.cache_info()
+        assert info.maxsize == tuner.SPACE_MEMO
+        assert info.currsize == tuner.SPACE_MEMO
+
+    @pytest.mark.parametrize("n_coarse", [60, 64])
+    def test_one_full_space_is_small(self, n_coarse):
+        """A 4-D space with every split's moves filled, as a long run may fill them."""
+        setup = LoopSetup("memo-size", (64, 64, 64, 64), "vector", n_coarse, 1)
+        topo = TopologyConfig(n_coarse_threads=n_coarse, lane_width=4)
+        gc.collect()  # empties the tuple free lists, whose reuse tracemalloc does not see
+        tracemalloc.start()
+        try:
+            space = tuner._Space(setup, topo)
+            for split in tuner._factorizations(n_coarse, 4) + tuner._factorizations(1, 4):
+                space.moves(split)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size < 96 * 1024
 
 
 def walk(setup, topo, limit=None):
