@@ -97,13 +97,13 @@ def cmd_stencil_bench(args) -> int:
     tuned, tuner = run_tuned(n, iters, seed, topo)
 
     ok = bit_identical(serial.final, naive.final) and bit_identical(serial.final, tuned.final)
-    rows = ["impl,iter,elapsed_ns,phase,is_best"]
+    rows = ["impl,iter,elapsed_ns,phase,is_best,params"]
     for i, t in enumerate(serial.iter_seconds):
-        rows.append(f"serial,{i},{int(t * 1e9)},,")
+        rows.append(f"serial,{i},{int(t * 1e9)},,,")
     for i, t in enumerate(naive.iter_seconds):
-        rows.append(f"naive,{i},{int(t * 1e9)},,")
+        rows.append(f"naive,{i},{int(t * 1e9)},,,")
     for i, (t, log) in enumerate(zip(tuned.iter_seconds, tuner.log)):
-        rows.append(f"tuned,{i},{int(t * 1e9)},{log['phase']},{log['is_best']}")
+        rows.append(f"tuned,{i},{int(t * 1e9)},{log['phase']},{log['is_best']},{log['params']}")
     if args.out:
         Path(args.out).write_text("\n".join(rows) + "\n")
 

@@ -14,12 +14,13 @@ through four nested mechanisms, each level partitioning its parent exactly:
 
 The space is checked when it is built, the parameters once in build_plan
 by tuner.check_shape, which rejects any split, tile size or vector width
-below 1.  A plan cuts each block when asked, each dimension once into tile
-intervals and each of those once into fine chunks; the pieces are
-IndexSpaces built unchecked.  Every entry that runs a plan checks its thread
-counts with tuner.check_threads before any thread starts.  The calling
-thread is the first worker of every group, so a run with one coarse and one
-fine worker starts no thread at all.
+below 1.  Each fine worker cuts its block itself, each dimension once into
+tile intervals and each of those once into fine chunks, and builds each of
+its slices, an IndexSpace built unchecked, only when it reaches it, so no
+list of a block's pieces exists.  Every entry that runs a plan checks its
+thread counts with tuner.check_threads before any thread starts.  The
+calling thread is the first worker of every group, so a run with one coarse
+and one fine worker starts no thread at all.
 
 Interior cut points along the innermost dimension are multiples of the lane
 width, so masked partial stores are only ever needed at the boundary of the
@@ -37,7 +38,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .lattice import BBox, Point, Stride, UsageError
 from .tuner import ExecParams, LoopSetup, Tuner, check_shape, check_threads
@@ -93,35 +94,38 @@ def index_space_to_bbox(s: IndexSpace) -> BBox:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """The nested decomposition of a checked space, cut one block at a time on demand."""
+    """The nested decomposition of a checked space, cut on demand."""
 
     space: IndexSpace
     params: ExecParams
 
     def blocks(self) -> list[IndexSpace]:
-        return self._split([[iv] for iv in zip(self.space.lo, self.space.hi)], self.params.coarse_split)[0]
+        return list(self._split([[iv] for iv in zip(self.space.lo, self.space.hi)], self.params.coarse_split))
 
     def tiles(self, block: IndexSpace) -> list[IndexSpace]:
-        return _cells(_grid_cuts(block, self.params.tile_size))
+        return list(self._split(_grid_cuts(block, self.params.tile_size), (1,) * block.dim))
 
     def slices(self, tile: IndexSpace) -> list[IndexSpace]:
-        return self._split([[iv] for iv in zip(tile.lo, tile.hi)], self.params.fine_split)[0]
+        return list(self._split([[iv] for iv in zip(tile.lo, tile.hi)], self.params.fine_split))
 
-    def tile_slices(self, block: IndexSpace) -> list[list[IndexSpace]]:
-        """The fine slices of each tile of the block, tiles in order."""
-        return self._split(_grid_cuts(block, self.params.tile_size), self.params.fine_split)
+    def tile_slices(self, block: IndexSpace, f: int, n_fine: int) -> Iterator[IndexSpace]:
+        """Fine slices f::n_fine of each tile of the block, tiles in order, each built when reached."""
+        return self._split(_grid_cuts(block, self.params.tile_size), self.params.fine_split, f, n_fine)
 
-    def pieces(self):
+    def pieces(self) -> Iterator[IndexSpace]:
         for block in self.blocks():
-            for slices in self.tile_slices(block):
-                yield from slices
+            yield from self.tile_slices(block, 0, 1)
 
-    def _split(self, intervals_per_dim, split: tuple[int, ...]) -> list[list[IndexSpace]]:
-        """Even chunks of each cell of the intervals' product, each interval cut once."""
+    def _split(self, intervals_per_dim, split: tuple[int, ...], first: int = 0, step: int = 1) -> Iterator[IndexSpace]:
+        """Even chunks first::step of each cell of the intervals' product, cells
+        and chunks outermost dimension slowest, each interval cut once."""
         units = (self.params.vector_width,) + (1,) * (len(intervals_per_dim) - 1)
         chunks = [[_even_cuts(a, b, n, u) for a, b in intervals]
                   for intervals, n, u in zip(intervals_per_dim, split, units)]
-        return [_cells(outer_first[::-1]) for outer_first in itertools.product(*chunks[::-1])]
+        cell = IndexSpace._trusted
+        for cell_chunks in itertools.product(*chunks[::-1]):
+            for outer_first in itertools.islice(itertools.product(*cell_chunks), first, None, step):
+                yield cell(*zip(*outer_first[::-1])) if outer_first else cell((), ())
 
 
 def _even_cuts(a: int, b: int, n: int, unit: int) -> list[tuple[int, int]]:
@@ -140,13 +144,6 @@ def _grid_cuts(block: IndexSpace, tile_size: tuple[int, ...]) -> list[list[tuple
     """Each dimension of the block in chunks cut at absolute multiples of its tile size."""
     cuts = [[a, *range((a // t + 1) * t, b, t), b] for a, b, t in zip(block.lo, block.hi, tile_size)]
     return [list(zip(c, c[1:])) for c in cuts]
-
-
-def _cells(intervals_per_dim) -> list[IndexSpace]:
-    """Every cell of the per-dimension intervals' product, outermost dimension slowest."""
-    cell = IndexSpace._trusted
-    return [cell(*zip(*outer_first[::-1])) if outer_first else cell((), ())
-            for outer_first in itertools.product(*intervals_per_dim[::-1])]
 
 
 def build_plan(space: IndexSpace, p: ExecParams) -> SplitPlan:
@@ -192,10 +189,9 @@ def execute_plan(plan: SplitPlan, kernel: Kernel, n_coarse: int, n_fine: int) ->
         work.put(block)
     failed = False
 
-    def fine_worker(tiles: list[list[IndexSpace]], f: int) -> None:
-        for slices in tiles:
-            for piece in slices[f::n_fine]:
-                kernel(piece)
+    def fine_worker(block: IndexSpace, f: int) -> None:
+        for piece in plan.tile_slices(block, f, n_fine):
+            kernel(piece)
 
     def coarse_worker(_: int) -> None:
         nonlocal failed
@@ -205,8 +201,7 @@ def execute_plan(plan: SplitPlan, kernel: Kernel, n_coarse: int, n_fine: int) ->
             except queue.Empty:
                 return
             try:
-                tiles = plan.tile_slices(block)
-                _run_group(n_fine, lambda f: fine_worker(tiles, f))
+                _run_group(n_fine, lambda f: fine_worker(block, f))
             except BaseException:  # stop every coarse worker pulling blocks
                 failed = True
                 raise

@@ -25,6 +25,7 @@ every Tuner, so a fresh Tuner per seed rebuilds none of it.  An evaluation
 """
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 import math
@@ -573,9 +574,7 @@ class Tuner:
         })
 
     def write_log(self, path: str | Path) -> None:
-        lines = ["setup_id,params,elapsed_ns,phase,is_best"]
-        lines += [
-            f"{r['setup_id']},{r['params']},{r['elapsed_ns']},{r['phase']},{r['is_best']}"
-            for r in self.log
-        ]
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "w", newline="") as f:
+            writer = csv.DictWriter(f, ["setup_id", "params", "elapsed_ns", "phase", "is_best"], lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(self.log)

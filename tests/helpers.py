@@ -16,6 +16,24 @@ def make_operands(rng, dim, hull_extent=16, max_boxes=8, steps=None):
     )
 
 
+def assert_canonical(node, dim):
+    """The one canonical form of a derivative tree: keys strictly increase at
+    every level, a dimension-1 tuple has even length, no child is empty, and
+    the xor of each node's toggles is the empty slice."""
+    if dim == 1:
+        assert all(a < b for a, b in zip(node, node[1:])), f"keys not increasing: {node}"
+        assert len(node) % 2 == 0, f"odd dimension-1 tuple: {node}"
+        return
+    keys = [k for k, _ in node]
+    assert all(a < b for a, b in zip(keys, keys[1:])), f"keys not increasing: {keys}"
+    total = ()
+    for _, child in node:
+        assert child, f"empty child in {node}"
+        assert_canonical(child, dim - 1)
+        total = _xor_nodes(total, child, dim - 1)
+    assert total == (), f"toggles do not close: {node}"
+
+
 BOOL_OPS = {
     "union": lambda a, b: a or b,
     "intersection": lambda a, b: a and b,

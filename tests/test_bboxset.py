@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_operands, reference_apply
+from helpers import assert_canonical, make_operands, reference_apply
 from stencilrt.bboxset import SET_OPS, BBoxSet, _runs
 from stencilrt.lattice import BBox, Point, Stride, UsageError, point, stride
 from stencilrt.oracle import PointSet, oracle_from_bboxset
@@ -394,6 +394,28 @@ class TestToBoxes:
                 incremental = incremental.union(BBoxSet.from_bboxes([b]))
             assert incremental == ref
             assert incremental.to_bboxes() == ref.to_bboxes()
+
+    def test_every_result_tree_is_canonical(self, rng):
+        """Every construction, operation and 5-step chain returns a canonical tree."""
+        for bad, dim in [((3, 1), 1), ((1, 2, 3), 1), (((2, (1, 2)), (1, (1, 2))), 2), (((1, ()),), 2),
+                         (((1, (1, 2)),), 2)]:
+            with pytest.raises(AssertionError):
+                assert_canonical(bad, dim)
+        for _ in range(300):
+            dim = rng.choice([1, 2, 3])
+            boxes_r, boxes_s, steps = make_operands(rng, dim)
+            r = BBoxSet.from_bboxes(boxes_r, dim=dim, stride=steps)
+            s = BBoxSet.from_bboxes(boxes_s, dim=dim, stride=steps)
+            lo, hi = (Point(tuple(rng.randint(0, 2) for _ in range(dim))) for _ in "lh")
+            f = Stride(tuple(rng.choice((1, 2, 3)) for _ in range(dim)))
+            trees = [r, s, *(r.apply(op, s) for op in SET_OPS), r.expand(lo, hi), r.coarsen(f), r.refine(steps),
+                     r.shift(Point(tuple(rng.randint(-5, 5) for _ in range(dim))))]
+            chain = r.expand(lo, hi)
+            for step in (lambda t: t & s, lambda t: t.coarsen(f), lambda t: t.refine(f), lambda t: t - s):
+                chain = step(chain)
+                trees.append(chain)
+            for t in trees:
+                assert_canonical(t.root, t.dim)
 
 
 class TestContains:

@@ -155,9 +155,11 @@ class TestStencilBench:
                      "--threads", "2", "--out", str(out)]) == 0
         assert "bit-identical: True" in capsys.readouterr().out
         lines = out.read_text().splitlines()
-        assert lines[0] == "impl,iter,elapsed_ns,phase,is_best"
+        assert lines[0] == "impl,iter,elapsed_ns,phase,is_best,params"
         tuned = [line for line in lines[1:] if line.startswith("tuned,")]
-        assert tuned and all(len(line.split(",")) == 5 for line in lines[1:])
+        assert tuned and all(len(line.split(",")) == 6 for line in lines[1:])
+        assert all(line.endswith(",") for line in lines[1:] if not line.startswith("tuned,"))
+        assert all(re.fullmatch(r"\d+x\d+x\d+/\d+x\d+x\d+/\d+x\d+x\d+/w\d+", line.split(",")[5]) for line in tuned)
         phases = {line.split(",")[3] for line in tuned}
         assert phases & {"warmup", "initial", "climbing", "excursion"}
 

@@ -2,6 +2,7 @@ import itertools
 import random
 import threading
 import time
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -184,8 +185,11 @@ class TestBuildPlan:
             for block in blocks:
                 tiles = ref.tiles(block)
                 assert plan.tiles(block) == tiles
-                for tile in tiles:
-                    assert plan.slices(tile) == ref.slices(tile)
+                slices = [ref.slices(tile) for tile in tiles]
+                assert [plan.slices(tile) for tile in tiles] == slices
+                for n in (1, 2, 3):
+                    for f in range(n):
+                        assert list(plan.tile_slices(block, f, n)) == [s for ss in slices for s in ss[f::n]]
             assert list(plan.pieces()) == list(ref.pieces())
         assert empty_dims > 10
 
@@ -504,6 +508,22 @@ def test_execute_hands_kernel_reference_pieces(rng, n_coarse, n_fine):
             expected = [[s for slices in tiles for s in slices[f::n_fine]] for f in range(n_fine)]
             got = [seq for (j, _), seq in runs.items() if j == i]
             assert sorted(got, key=key) == sorted((seq for seq in expected if seq), key=key)
+
+
+@pytest.mark.parametrize("n_fine", [1, 2])
+def test_execution_memory_is_bounded(n_fine):
+    """Each fine worker builds its slices as it reaches them, so a run of
+    8,192 pieces traces under 1 MiB: no list of a block's pieces exists."""
+    plan = build_plan(IndexSpace((0,) * 3, (32,) * 3), ExecParams((1, 1, 1), (4, 1, 2), (1, 1, 2), 4))
+    ran = itertools.count()
+    tracemalloc.start()
+    try:
+        execute_plan(plan, lambda piece: next(ran), 1, n_fine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert next(ran) == 8192
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("n_coarse, n_fine", [(3, 1), (1, 3)])

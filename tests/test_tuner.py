@@ -1,3 +1,4 @@
+import csv
 import gc
 import hashlib
 import math
@@ -726,3 +727,18 @@ def test_csv_log_schema(tmp_path):
     assert lines[1].startswith("cfg,")
     phases = {line.split(",")[3] for line in lines[1:]}
     assert "warmup" in phases
+
+
+def test_csv_log_quotes_fields(tmp_path):
+    """A site_id holding a comma and a quote reads back through csv.reader as logged."""
+    setup = LoopSetup('laplace,3d "v2"', (8, 8))
+    tuner = Tuner(TopologyConfig(lane_width=4))
+    for _ in range(5):
+        p = tuner.next_params(setup)
+        tuner.record_timing(setup, p, 1e-3)
+    out = tmp_path / "log.csv"
+    tuner.write_log(out)
+    with open(out, newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["setup_id", "params", "elapsed_ns", "phase", "is_best"]
+    assert rows == [[str(r[k]) for k in header] for r in tuner.log]
