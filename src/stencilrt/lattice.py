@@ -64,6 +64,8 @@ class Point:
     @staticmethod
     def unit(dim: int, axis: int) -> "Point":
         """e^axis: 1 in the given axis, 0 elsewhere."""
+        if not 0 <= axis < dim:
+            raise UsageError(f"axis {axis} outside 0..{dim - 1}")
         return Point(tuple(1 if i == axis else 0 for i in range(dim)))
 
     def __getitem__(self, i: int) -> int:

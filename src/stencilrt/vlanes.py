@@ -1,10 +1,11 @@
 """Lane-width-generic reference semantics for explicit vectorization.
 
 Vectors and masks are immutable tuples of width W (a power of two, 1..16);
-every operation applies the host's scalar double-precision arithmetic per
-lane, in lane order.  A loop written against this API therefore produces
-bit-identical results to the equivalent scalar loop, which is the property
-the test suite leans on.
+every operation is one named function that applies the host's scalar
+double-precision arithmetic per lane, in lane order.  Operands, masks and
+the arrays stores write to must share one width.  A loop written against
+this API therefore produces bit-identical results to the equivalent scalar
+loop, which is the property the test suite leans on.
 
 Loads are never masked: arrays carry padding so reads slightly out of bounds
 always succeed.  Only stores honour masks.  vfma is the unfused x*y + z (two
@@ -14,6 +15,7 @@ rounded fused form, within 1 ulp of it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -115,12 +117,30 @@ class AlignedArray:
         return self._buf[self.padding:self.padding + self.length]
 
 
+def _same_width(x, y) -> None:
+    """The one width rule: vectors, masks and arrays combine only at one width."""
+    if x.width != y.width:
+        raise UsageError(f"width mismatch: {x.width} vs {y.width}")
+
+
+def _aligned(a: AlignedArray, i: int, what: str) -> None:
+    if i % a.width != 0:
+        raise UsageError(f"{what} at index {i} not a multiple of W={a.width}")
+
+
 # -- memory access -----------------------------------------------------------
 
+def vloadu(a: AlignedArray, j: int) -> LaneVector:
+    """Unaligned load with unknown offset: a[j], ..., a[j+W-1]."""
+    s = j + a.padding
+    if s < 0 or s + a.width > len(a._buf):
+        raise IndexError(f"lanes [{j}, {j + a.width}) outside data+padding of length-{a.length} array")
+    return LaneVector(tuple(a._buf[s:s + a.width]))
+
+
 def vload_aligned(a: AlignedArray, i: int) -> LaneVector:
-    if i % a.width != 0:
-        raise UsageError(f"aligned load at index {i} not a multiple of W={a.width}")
-    return LaneVector(tuple(a[i + l] for l in range(a.width)))
+    _aligned(a, i, "aligned load")
+    return vloadu(a, i)
 
 
 def vload_off(k: int, a: AlignedArray, j: int) -> LaneVector:
@@ -128,188 +148,111 @@ def vload_off(k: int, a: AlignedArray, j: int) -> LaneVector:
 
     Semantically an unaligned load; the offset is a performance hint only.
     """
-    if (j - k) % a.width != 0:
-        raise UsageError(f"offset load: base {j}-{k} not a multiple of W={a.width}")
-    return LaneVector(tuple(a[j + l] for l in range(a.width)))
-
-
-def vloadu(a: AlignedArray, j: int) -> LaneVector:
-    """Unaligned load with unknown offset."""
-    return LaneVector(tuple(a[j + l] for l in range(a.width)))
-
-
-def vstore_aligned(a: AlignedArray, i: int, v: LaneVector) -> None:
-    if i % a.width != 0:
-        raise UsageError(f"aligned store at index {i} not a multiple of W={a.width}")
-    for l in range(a.width):
-        a[i + l] = v.lanes[l]
+    _aligned(a, j - k, "offset load base")
+    return vloadu(a, j)
 
 
 def vstore_partial(a: AlignedArray, i: int, v: LaneVector, m: LaneMask) -> None:
     """Write only lanes whose mask bit is set; other elements stay untouched."""
-    if i % a.width != 0:
-        raise UsageError(f"partial store at index {i} not a multiple of W={a.width}")
-    for l in range(a.width):
-        if m.active[l]:
-            a[i + l] = v.lanes[l]
+    _aligned(a, i, "store")
+    _same_width(a, v)
+    _same_width(a, m)
+    for l, (x, on) in enumerate(zip(v.lanes, m.active)):
+        if on:
+            a[i + l] = x
 
 
-def vstore_nta_partial(a: AlignedArray, i: int, v: LaneVector, m: LaneMask) -> None:
-    """Masked store with a non-temporal hint; the hint is a no-op here."""
-    vstore_partial(a, i, v, m)
+def vstore_aligned(a: AlignedArray, i: int, v: LaneVector) -> None:
+    vstore_partial(a, i, v, mask_full(a.width))
 
 
-# -- arithmetic ---------------------------------------------------------------
-
-def _div(x: float, y: float) -> float:
-    # IEEE division: inf/nan instead of ZeroDivisionError
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.float64(x) / np.float64(y))
+# Masked store with a non-temporal hint; the hint is a no-op here.
+vstore_nta_partial = vstore_partial
 
 
-_ELEM_OPS: dict[str, Callable[[float, float], float]] = {
-    "add": lambda x, y: x + y,
-    "sub": lambda x, y: x - y,
-    "mul": lambda x, y: x * y,
-    "div": _div,
-    "min": lambda x, y: y if y < x else x,
-    "max": lambda x, y: y if y > x else x,
-}
+# -- lane-wise operations -----------------------------------------------------
+# Each operation runs one scalar function on every lane, in lane order; a
+# comment names that function where the code does not.
 
-_CMP_OPS: dict[str, Callable[[float, float], bool]] = {
-    "lt": lambda x, y: x < y,
-    "le": lambda x, y: x <= y,
-    "gt": lambda x, y: x > y,
-    "ge": lambda x, y: x >= y,
-    "eq": lambda x, y: x == y,
-    "ne": lambda x, y: x != y,
-}
+def _binary(f: Callable[[float, float], object], out=LaneVector) -> Callable:
+    """The operation that runs f on the lanes of two vectors of one width."""
+    def op(x: LaneVector, y: LaneVector):
+        _same_width(x, y)
+        return out(tuple(map(f, x.lanes, y.lanes)))
+    return op
 
 
-def _pair(x: LaneVector, y: LaneVector) -> None:
-    if x.width != y.width:
-        raise UsageError(f"width mismatch: {x.width} vs {y.width}")
+def _unary(f: Callable[[float], object], out=LaneVector) -> Callable:
+    """The operation that runs f on the lanes of one vector."""
+    def op(x: LaneVector):
+        return out(tuple(map(f, x.lanes)))
+    return op
 
 
-def velem(op: str, x: LaneVector, y: LaneVector) -> LaneVector:
-    if op not in _ELEM_OPS:
-        raise UsageError(f"unknown elementwise op {op!r}")
-    _pair(x, y)
-    f = _ELEM_OPS[op]
-    return LaneVector(tuple(f(a, b) for a, b in zip(x.lanes, y.lanes)))
+def _host(fn) -> Callable[..., float]:
+    # numpy's float64 function; division by zero, overflow and domain errors
+    # give IEEE inf or NaN lanes, never traps or warnings
+    def apply(*xs: float) -> float:
+        with np.errstate(all="ignore"):
+            return float(fn(*map(np.float64, xs)))
+    return apply
 
 
-def vadd(x, y):
-    return velem("add", x, y)
+vadd = _binary(operator.add)                            # x + y
+vsub = _binary(operator.sub)                            # x - y
+vmul = _binary(operator.mul)                            # x * y
+vdiv = _binary(_host(np.divide))                        # IEEE x / y
+vmin = _binary(lambda x, y: y if y < x else x)          # x unless y < x
+vmax = _binary(lambda x, y: y if y > x else x)          # x unless y > x
+vcopysign = _binary(math.copysign)                      # |x| with y's sign
 
+vcmplt = _binary(operator.lt, LaneMask)                 # x < y
+vcmple = _binary(operator.le, LaneMask)                 # x <= y
+vcmpgt = _binary(operator.gt, LaneMask)                 # x > y
+vcmpge = _binary(operator.ge, LaneMask)                 # x >= y
+vcmpeq = _binary(operator.eq, LaneMask)                 # x == y
+vcmpne = _binary(operator.ne, LaneMask)                 # x != y
 
-def vsub(x, y):
-    return velem("sub", x, y)
-
-
-def vmul(x, y):
-    return velem("mul", x, y)
-
-
-def vdiv(x, y):
-    return velem("div", x, y)
-
-
-def vmin(x, y):
-    return velem("min", x, y)
-
-
-def vmax(x, y):
-    return velem("max", x, y)
+vsqrt = _unary(_host(np.sqrt))
+vexp = _unary(_host(np.exp))
+vlog = _unary(_host(np.log))
+vsin = _unary(_host(np.sin))
+vcos = _unary(_host(np.cos))
+vfabs = _unary(math.fabs)
+vsignbit = _unary(lambda x: math.copysign(1.0, x) < 0, LaneMask)
+visnan = _unary(math.isnan, LaneMask)
 
 
 def _fma_fused(x: float, y: float, z: float) -> float:
     # correctly rounded x*y+z: exact rational arithmetic, one final rounding
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         return x * y + z
-    return float(Fraction(x) * Fraction(y) + Fraction(z))
+    exact = Fraction(x) * Fraction(y) + Fraction(z)
+    try:
+        return float(exact)
+    except OverflowError:  # rounds beyond the largest double
+        return math.inf if exact > 0 else -math.inf
 
 
 def vfma(x: LaneVector, y: LaneVector, z: LaneVector) -> LaneVector:
     """Lane-wise x*y + z, unfused (two roundings)."""
-    _pair(x, y)
-    _pair(x, z)
+    _same_width(x, y)
+    _same_width(x, z)
     return LaneVector(tuple(a * b + c for a, b, c in zip(x.lanes, y.lanes, z.lanes)))
 
 
 def vfma_fused(x: LaneVector, y: LaneVector, z: LaneVector) -> LaneVector:
     """Lane-wise x*y + z, correctly rounded (one rounding)."""
-    _pair(x, y)
-    _pair(x, z)
+    _same_width(x, y)
+    _same_width(x, z)
     return LaneVector(tuple(map(_fma_fused, x.lanes, y.lanes, z.lanes)))
-
-
-def vcmp(op: str, x: LaneVector, y: LaneVector) -> LaneMask:
-    if op not in _CMP_OPS:
-        raise UsageError(f"unknown comparison {op!r}")
-    _pair(x, y)
-    f = _CMP_OPS[op]
-    return LaneMask(tuple(f(a, b) for a, b in zip(x.lanes, y.lanes)))
 
 
 def ifthen(m: LaneMask, t: LaneVector, e: LaneVector) -> LaneVector:
     """Lane select, no shortcut semantics: both branches already evaluated."""
-    _pair(t, e)
-    if m.width != t.width:
-        raise UsageError(f"width mismatch: {m.width} vs {t.width}")
+    _same_width(t, e)
+    _same_width(m, t)
     return LaneVector(tuple(tv if mv else ev for mv, tv, ev in zip(m.active, t.lanes, e.lanes)))
-
-
-# -- math functions -----------------------------------------------------------
-
-def _host(fn) -> Callable[[float], float]:
-    def apply(x: float) -> float:
-        with np.errstate(all="ignore"):
-            return float(fn(np.float64(x)))
-    return apply
-
-
-_MATH_FNS: dict[str, Callable[[float], float]] = {
-    "sqrt": _host(np.sqrt),
-    "exp": _host(np.exp),
-    "log": _host(np.log),
-    "sin": _host(np.sin),
-    "cos": _host(np.cos),
-    "fabs": math.fabs,
-}
-
-
-def vmath(fn: str, x: LaneVector) -> LaneVector:
-    """Lane-wise host math; domain errors become NaN lanes, never traps."""
-    if fn not in _MATH_FNS:
-        raise UsageError(f"unknown math function {fn!r}")
-    f = _MATH_FNS[fn]
-    return LaneVector(tuple(f(a) for a in x.lanes))
-
-
-def vsqrt(x):
-    return vmath("sqrt", x)
-
-
-def vexp(x):
-    return vmath("exp", x)
-
-
-def vlog(x):
-    return vmath("log", x)
-
-
-def vcopysign(x: LaneVector, y: LaneVector) -> LaneVector:
-    _pair(x, y)
-    return LaneVector(tuple(math.copysign(a, b) for a, b in zip(x.lanes, y.lanes)))
-
-
-def vsignbit(x: LaneVector) -> LaneMask:
-    return LaneMask(tuple(math.copysign(1.0, a) < 0 for a in x.lanes))
-
-
-def visnan(x: LaneVector) -> LaneMask:
-    return LaneMask(tuple(math.isnan(a) for a in x.lanes))
 
 
 # -- iteration ----------------------------------------------------------------

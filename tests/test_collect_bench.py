@@ -90,11 +90,31 @@ def test_pair_report_counts_wins_by_direction_and_not_ties(monkeypatch, tmp_path
                                                 "ops_per_s": rate[seed][side_of[side]]})
     pairs = collect_bench.run_pairs(*_checkouts(tmp_path), "w", 4)
     lines = {line.split()[0]: line for line in collect_bench.pair_report(pairs, BOUNDS)[1:]}
-    assert lines["op_p50_ms"].endswith("2/4")
-    assert lines["ops_per_s"].endswith("3/4")
+    assert lines["op_p50_ms"].split()[7] == "2/4"
+    assert lines["ops_per_s"].split()[7] == "3/4"
     assert "10 [10, 10]" in lines["op_p50_ms"] and "9.5 [8.75, 10.25]" in lines["op_p50_ms"]
     assert lines["ops"].split()[1:] == ["100", "[100,", "100]", "100", "[100,", "100]"]
     assert lines["every"] == "every run correct, none failed"
+
+
+def _pairs(**metrics):
+    """Pairs whose runs read metric values (old, new) in turn."""
+    run = lambda i, side: {"correct": True, "attempted": 1, "failed": 0,
+                           "metrics": {k: {"value": v[i][side]} for k, v in metrics.items()}}
+    n = len(next(iter(metrics.values())))
+    return [{"seed": 1001 + i, "old": run(i, 0), "new": run(i, 1)} for i in range(n)]
+
+
+@pytest.mark.parametrize("p50, rate, want", [
+    ([(10, 13), (10, 13.2), (10.1, 13)], [(5, 5)] * 3, "WORSE beyond bound 0.25"),
+    ([(10, 10), (10, 5), (10, 15)], [(5, 5)] * 3, "unresolved: spread 0.50 > bound 0.25"),
+    ([(10, 11), (10, 12), (10.1, 11)], [(5, 5)] * 3, "within bound"),
+])
+def test_pair_report_gives_the_compare_verdict(p50, rate, want):
+    lines = {line.split()[0]: line for line in collect_bench.pair_report(_pairs(op_p50_ms=p50, ops_per_s=rate),
+                                                                           BOUNDS)[1:]}
+    assert lines["op_p50_ms"].endswith(want)
+    assert lines["ops_per_s"].endswith("within bound")
 
 
 def test_pair_report_names_failed_runs():

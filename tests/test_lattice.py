@@ -135,6 +135,12 @@ class TestValidation:
         with pytest.raises(UsageError):
             Point((0,) * 5)
 
+    def test_unit_axis_in_range(self):
+        assert [Point.unit(3, a).coords for a in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        for axis in (3, 5, -1):
+            with pytest.raises(UsageError, match="axis"):
+                Point.unit(3, axis)
+
     def test_stride_positive(self):
         with pytest.raises(UsageError):
             stride(0)

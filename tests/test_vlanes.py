@@ -1,6 +1,8 @@
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,13 +131,32 @@ class TestStores:
         with pytest.raises(UsageError):
             vl.vstore_aligned(a, 2, vec(0, 0, 0, 0))
 
+    @pytest.mark.parametrize("vw, mw", [(8, 4), (2, 4), (4, 8), (4, 2)])
+    def test_width_mismatch_rejected(self, vw, mw):
+        """A wider or narrower vector or mask than the array is refused and writes nothing."""
+        a = vl.AlignedArray.from_values([7.0] * 8, 4)
+        v, m = vl.vset1(1.0, vw), vl.mask_full(mw)
+        stores = [lambda: vl.vstore_partial(a, 0, v, m), lambda: vl.vstore_nta_partial(a, 0, v, m)]
+        if mw == 4:
+            stores.append(lambda: vl.vstore_aligned(a, 0, v))
+        for store in stores:
+            with pytest.raises(UsageError, match="width mismatch"):
+                store()
+        assert a.to_list() == [7.0] * 8
+
 
 class TestArithmetic:
     def test_fma(self):
         assert vl.vfma(vec(1, 2), vec(3, 4), vec(5, 6)).lanes == (8.0, 14.0)
 
     def test_cmp(self):
-        assert vl.vcmp("lt", vec(1, 5), vec(3, 3)).active == (True, False)
+        x, y = vec(1, 3, 5), vec(3, 3, 3)
+        assert vl.vcmplt(x, y).active == (True, False, False)
+        assert vl.vcmple(x, y).active == (True, True, False)
+        assert vl.vcmpgt(x, y).active == (False, False, True)
+        assert vl.vcmpge(x, y).active == (False, True, True)
+        assert vl.vcmpeq(x, y).active == (False, True, False)
+        assert vl.vcmpne(x, y).active == (True, False, True)
 
     def test_set1(self):
         assert vl.vset1(0.5, 4).lanes == (0.5, 0.5, 0.5, 0.5)
@@ -192,9 +213,69 @@ class TestMath:
         assert vl.vcopysign(vec(3, 3), vec(-1, 1)).lanes == (-3, 3)
         assert vl.vsignbit(vec(-0.0, 2.0)).active == (True, False)
 
-    def test_unknown_fn_rejected(self):
-        with pytest.raises(UsageError):
-            vl.vmath("tanh2", vec(0))
+
+# Every lane operation and the scalar function its lanes must equal bit for bit.
+def _ieee_div(x, y):
+    if y:
+        return x / y
+    return math.nan if x == 0 or math.isnan(x) else math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
+def _numpy(fn):
+    def ref(x):
+        with np.errstate(all="ignore"):
+            return float(fn(np.float64(x)))
+    return ref
+
+
+BINARY = {
+    "vadd": lambda x, y: x + y,
+    "vsub": lambda x, y: x - y,
+    "vmul": lambda x, y: x * y,
+    "vdiv": _ieee_div,
+    "vmin": lambda x, y: y if y < x else x,
+    "vmax": lambda x, y: y if y > x else x,
+    "vcopysign": math.copysign,
+    "vcmplt": lambda x, y: x < y,
+    "vcmple": lambda x, y: x <= y,
+    "vcmpgt": lambda x, y: x > y,
+    "vcmpge": lambda x, y: x >= y,
+    "vcmpeq": lambda x, y: x == y,
+    "vcmpne": lambda x, y: x != y,
+}
+UNARY = {
+    "vsqrt": _numpy(np.sqrt),
+    "vexp": _numpy(np.exp),
+    "vlog": _numpy(np.log),
+    "vsin": _numpy(np.sin),
+    "vcos": _numpy(np.cos),
+    "vfabs": math.fabs,
+    "vsignbit": lambda x: math.copysign(1.0, x) < 0,
+    "visnan": math.isnan,
+}
+SPECIAL_LANES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -2.0)
+
+
+def _same_bits(got, want):
+    if isinstance(want, bool):
+        return got is want
+    return (math.isnan(got) and math.isnan(want)) or struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@pytest.mark.parametrize("name", [*BINARY, *UNARY])
+@pytest.mark.parametrize("w", (1, 2, 4, 8, 16))
+def test_every_lane_op_matches_its_scalar_function(name, w):
+    r = random.Random(f"{name}/{w}")
+    ref = BINARY.get(name) or UNARY[name]
+    arity = 2 if name in BINARY else 1
+    for _ in range(40):
+        xs = [tuple(r.choice(SPECIAL_LANES) if r.random() < 0.4 else r.uniform(-4, 4) * 10.0 ** r.randint(-300, 300)
+                    for _ in range(w)) for _ in range(arity)]
+        out = getattr(vl, name)(*map(vl.LaneVector, xs))
+        got = out.active if isinstance(out, vl.LaneMask) else out.lanes
+        want = tuple(map(ref, *xs))
+        assert isinstance(out, vl.LaneMask) == isinstance(want[0], bool)
+        assert len(got) == w and all(map(_same_bits, got, want)), (xs, got, want)
 
 
 def scalar_forward(vals, n, fill):
@@ -266,3 +347,7 @@ class TestFusedFma:
             fused = vl.vfma_fused(vec(x), vec(y), vec(z)).lanes[0]
             unfused = x * y + z
             assert abs(fused - unfused) <= math.ulp(unfused)
+
+    def test_fused_overflow_rounds_to_infinity(self):
+        got = vl.vfma_fused(vec(1e300, -1e300, 1e300), vec(1e300, 1e300, 1e-300), vec(0, 0, 1)).lanes
+        assert got == (math.inf, -math.inf, 2.0)

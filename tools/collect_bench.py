@@ -26,8 +26,9 @@ Pairing runs one workload untraced in two checkouts, OLD_DIR and DIR, N
 times each: pair k runs both on one seed (1001 + k, and 424242 for the last
 pair), and the side that runs first alternates from pair to pair, so a
 machine phase that lasts a pair slows both sides alike.  It prints each
-side's median and quartiles per end-to-end metric, and in how many pairs the
-new side did better (a tie counts for neither side).
+side's median and quartiles per end-to-end metric, in how many pairs the
+new side did better (a tie counts for neither side), and the verdict that
+comparing gives.
 """
 from __future__ import annotations
 
@@ -130,6 +131,20 @@ def _separated(old: list[float], new: list[float]) -> bool:
     return bool(old and new) and (max(new) < min(old) or min(new) > max(old))
 
 
+def verdict(o: dict, m: dict, old: list[float], new: list[float], bound: dict) -> str:
+    """Judge an end-to-end metric's new summary m against the old one o: unresolved
+    while either side's runs spread wider than the bound and the runs of the two
+    sides overlap, else WORSE when the new median is worse by more than the bound."""
+    ratio = m["median"] / o["median"] if o["median"] else float("nan")
+    worse = ratio - 1 if bound["better"] == "lower" else 1 - ratio
+    spread = max(((s["q3"] - s["q1"]) / s["median"] for s in (o, m) if s["median"]), default=0.0)
+    if spread > bound["bound"] and not _separated(old, new):
+        return f"unresolved: spread {spread:.2f} > bound {bound['bound']}"
+    if worse > bound["bound"]:
+        return f"WORSE beyond bound {bound['bound']}"
+    return "within bound"
+
+
 def compare(old: dict, new: dict, bounds: dict[str, dict]) -> list[str]:
     """One line per workload and metric held by both files: new/old median
     ratio, and for end-to-end metrics a verdict against the bound."""
@@ -143,20 +158,10 @@ def compare(old: dict, new: dict, bounds: dict[str, dict]) -> list[str]:
             if o is None or o["median"] == m["median"] == 0:
                 continue
             ratio = m["median"] / o["median"] if o["median"] else float("nan")
-            verdict = ""
             bound = bounds.get(metric)
-            if bound is not None:
-                lower = bound["better"] == "lower"
-                worse = ratio - 1 if lower else 1 - ratio
-                spread = max((s["q3"] - s["q1"]) / s["median"] for s in (o, m) if s["median"])
-                if spread > bound["bound"] and not _separated(_values(before, metric), _values(wl, metric)):
-                    verdict = f"unresolved: spread {spread:.2f} > bound {bound['bound']}"
-                elif worse > bound["bound"]:
-                    verdict = f"WORSE beyond bound {bound['bound']}"
-                else:
-                    verdict = "within bound"
+            judged = "" if bound is None else verdict(o, m, _values(before, metric), _values(wl, metric), bound)
             lines.append(f"{name:<15} {metric:<28} {o['median']:>12.4g} {m['median']:>12.4g} "
-                         f"{ratio:>8.3f}  {verdict}".rstrip())
+                         f"{ratio:>8.3f}  {judged}".rstrip())
     return lines
 
 
@@ -185,15 +190,18 @@ def _clean(run: dict) -> bool:
 
 
 def pair_report(pairs: list[dict], bounds: dict[str, dict]) -> list[str]:
-    """Each side's median [q1, q3] per end-to-end metric and the pairs the new
-    side won, then the operation counts, failures and correctness of the runs."""
+    """Each side's median [q1, q3] per end-to-end metric, the pairs the new side
+    won and the verdict against the bound, then the operation counts, failures
+    and correctness of the runs."""
     fmt = lambda s: f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
-    lines = [f"{'metric':<14} {'old median [q1, q3]':>30} {'new median [q1, q3]':>30}  new won"]
+    lines = [f"{'metric':<14} {'old median [q1, q3]':>30} {'new median [q1, q3]':>30}  new won  verdict"]
     for metric, bound in bounds.items():
         old, new = ([p[side]["metrics"][metric]["value"] for p in pairs] for side in ("old", "new"))
         sign = 1 if bound["better"] == "lower" else -1
         won = sum(sign * (o - n) > 0 for o, n in zip(old, new))
-        lines.append(f"{metric:<14} {fmt(summarize(old)):>30} {fmt(summarize(new)):>30}  {won}/{len(pairs)}")
+        o, m = summarize(old), summarize(new)
+        lines.append(f"{metric:<14} {fmt(o):>30} {fmt(m):>30}  {f'{won}/{len(pairs)}':>7}  "
+                     f"{verdict(o, m, old, new, bound)}")
     old, new = ([p[side]["attempted"] for p in pairs] for side in ("old", "new"))
     lines.append(f"{'ops':<14} {fmt(summarize(old)):>30} {fmt(summarize(new)):>30}")
     bad = [f"{side} seed {p['seed']}" for p in pairs for side in ("old", "new") if not _clean(p[side])]
