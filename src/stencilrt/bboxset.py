@@ -21,8 +21,22 @@ run the sweep: advance over the merged toggle coordinates of both operands,
 reconstruct the running operand slices by xor-accumulation, and store each
 change of the result as computed from that coordinate's operand toggles
 against the other operand's slice, never from the whole result slice.
-Expand is one union of grown runs: each run's slice is dilated and its span
-grown, and the union sweep merges the overlapping pieces.
+At dimension 1, intersection and difference bisect each run of one operand
+into the other's coordinates.  Expand is one union of grown runs: each run's
+slice is dilated and its span grown, and _union_all, a balanced pairwise
+union, merges the overlapping pieces.
+
+``from_bboxes`` builds its tree in one event sweep over the boxes' bounds
+along the last axis: at each bound the slice is the union of the active
+boxes' projections, built by the same sweep one axis down, and a change is
+stored where the slice changed (the union of a box list is Klee's measure
+problem; van Leeuwen & Wood, J. Algorithms 1981).  An event costs about its
+active count, so where that summed count passes n log2 n (boxes active at
+most events, as in staggered slabs) the boxes are unioned pairwise instead.
+Expand keeps _union_all: its grown runs overlap their neighbours, and every
+event-sweep form measured on them (a full union of the active runs at each
+event, the same with a two-stack window, a three-level prism sweep) was
+slower or no faster.
 
 Queries read a runs table that each set builds once, on first use, and keeps
 for its lifetime: for every node, the sorted run starts, the run stops and the
@@ -31,9 +45,9 @@ the corners from it, and ``point_count`` sums the boxes ``to_bboxes`` returns.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import mod, sub
+from operator import add, itemgetter, mod, sub
 from typing import Iterable, Iterator
 
 from .lattice import (SET_OPS, BBox, Point, Stride, check_boxes, check_dims, check_expand, check_op, check_operands,
@@ -99,9 +113,9 @@ def _xor_nodes(a: _Node, b: _Node, dim: int) -> _Node:
             out.append(b[ib])
             ib += 1
         else:
-            child = _xor_1d(ca, cb) if dim == 2 else _xor_nodes(ca, cb, dim - 1)
-            if child:
-                out.append((ka, child))
+            # canonical children cancel exactly when equal, and == runs in C
+            if ca != cb:
+                out.append((ka, _xor_1d(ca, cb) if dim == 2 else _xor_nodes(ca, cb, dim - 1)))
             ia += 1
             ib += 1
     out.extend(a[ia:])
@@ -153,11 +167,28 @@ def _tail(op: str, a: _Node, b: _Node) -> _Node:
 
 
 def _apply_1d(op: str, a: _Node, b: _Node) -> _Node:
-    """Dimension-1 sweep over two coordinate tuples with plain parity bits."""
-    # a toggle flips the result where the other operand is off (DIFFERENCE)
-    # or on (INTERSECTION)
-    op_a, op_b = _DELTA_OPS[op]
-    off_a, off_b = op_a == DIFFERENCE, op_b == DIFFERENCE
+    """Dimension-1 sweep over two coordinate tuples.
+
+    Intersection and difference bisect each run [k0, k1) of a into b: b's
+    toggles inside the run carry over, and k0 (k1) is kept where b's parity
+    just at (before) it says the point is in b (intersection) or out
+    (difference).  Union merges the two tuples with a parity bit each: a
+    toggle flips the result where the other operand is off."""
+    if op != UNION:
+        keep = op == INTERSECTION
+        out = []
+        # iter/next beats zip over slices: most tuples hold one run
+        it = iter(a)
+        for k0 in it:
+            k1 = next(it)
+            i0 = bisect_right(b, k0)
+            i1 = bisect_left(b, k1, i0)
+            if (i0 & 1) == keep:
+                out.append(k0)
+            out += b[i0:i1]
+            if (i1 & 1) == keep:
+                out.append(k1)
+        return tuple(out)
     run_a = run_b = False
     out = []
     ia, ib, na, nb = 0, 0, len(a), len(b)
@@ -166,27 +197,17 @@ def _apply_1d(op: str, a: _Node, b: _Node) -> _Node:
         kb = b[ib]
         flip = False
         if ka <= kb:
-            flip = run_b is not off_a
+            flip = not run_b
             run_a = not run_a
             ia += 1
         if kb <= ka:
-            if run_a is not off_b:
+            if not run_a:
                 flip = not flip
             run_b = not run_b
             ib += 1
         if flip:
             out.append(ka if ka < kb else kb)
-    return tuple(out) + _tail(op, a[ia:], b[ib:])
-
-
-def _box_node(box: BBox, dim: int) -> _Node:
-    """Derivative tree of a single box: toggle on at lower, off past upper."""
-    lo = box.lower.coords[dim - 1]
-    hi = box.upper.coords[dim - 1] + box.stride.steps[dim - 1]
-    if dim == 1:
-        return (lo, hi)
-    child = _box_node(box, dim - 1)
-    return ((lo, child), (hi, child))
+    return tuple(out) + a[ia:] + b[ib:]
 
 
 def _shift_node(node: _Node, dim: int, v: tuple[int, ...]) -> _Node:
@@ -292,6 +313,61 @@ def _expand_node(node: _Node, dim: int, lo: tuple[int, ...], hi: tuple[int, ...]
     return _union_all(grown, dim) if grown else ()
 
 
+def _union_boxes(boxes: list[tuple[tuple[int, int], ...]], dim: int) -> _Node:
+    """The union of boxes given as per-axis [lo, hi) intervals, by one event
+    sweep along the last axis (see the module docstring).  The sweep runs
+    while the active counts summed over the events, counted box by box, stay
+    within n log2 n; past that (boxes active at most events, where it would
+    cost up to n^2) _union_all unions the single-box trees pairwise."""
+    if dim == 1:
+        return _merge_intervals([b[0] for b in boxes])
+    n, d1 = len(boxes), dim - 1
+    if n == 1:
+        return _box_node(boxes[0], dim)
+    spans = [b[d1] for b in boxes]
+    keys = sorted({k for span in spans for k in span})
+    at = {k: j for j, k in enumerate(keys)}
+    starts = [[] for _ in keys]
+    budget = n * n.bit_length()
+    for b, (lo, hi) in zip(boxes, spans):
+        j = at[lo]
+        starts[j].append(b)
+        budget -= at[hi] - j
+        if budget < 0:
+            return _union_all([_box_node(b, dim) for b in boxes], dim)
+    active, out, prev = [], [], ()
+    for k, new in zip(keys, starts):
+        active = [b for b in active if b[d1][1] > k]
+        active += new
+        cur = _union_boxes(active, d1) if active else ()
+        if cur != prev:
+            out.append((k, _xor_nodes(prev, cur, d1)))
+            prev = cur
+    return tuple(out)
+
+
+def _merge_intervals(intervals: list[tuple[int, int]]) -> _Node:
+    """The dimension-1 node of a union of [lo, hi) intervals."""
+    out = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1]:
+            if hi > out[-1]:
+                out[-1] = hi
+        else:
+            out.append(lo)
+            out.append(hi)
+    return tuple(out)
+
+
+def _box_node(box: tuple[tuple[int, int], ...], dim: int) -> _Node:
+    """Derivative tree of a single box: toggle on at lower, off at upper."""
+    lo, hi = box[dim - 1]
+    if dim == 1:
+        return (lo, hi)
+    child = _box_node(box, dim - 1)
+    return ((lo, child), (hi, child))
+
+
 def _union_all(nodes: list[_Node], dim: int) -> _Node:
     """Balanced pairwise union of one or more trees, near O(n log n) for n boxes."""
     while len(nodes) > 1:
@@ -327,20 +403,25 @@ def _table_contains(table: _Table, dim: int, p: tuple[int, ...]) -> bool:
     return bisect_right(table, p[0]) & 1 == 1
 
 
-def _table_corners(table: _Table, dim: int, steps: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _table_corners(table: _Table, dim: int, steps: tuple[int, ...], lo: tuple[int, ...] = (),
+                   up: tuple[int, ...] = (), out: list | None = None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Canonical normalization: (lower, upper) corner pairs, disjoint and exact.
 
     Each maximal run of coordinates with a constant non-empty slice extrudes
     that slice's own normalized boxes.  Runs end exactly at stored toggles, so
-    no further merging is possible.
+    no further merging is possible.  The coordinates of the enclosing runs
+    come down as the corners' tails lo and up, so each corner is built once,
+    into out.
     """
+    if out is None:
+        out = []
     s = steps[dim - 1]
     if dim == 1:
-        return [((start,), (stop - s,)) for start, stop in zip(table[0::2], table[1::2])]
-    starts, stops, kids = table
-    return [(lo + (start,), up + (stop - s,))
-            for start, stop, kid in zip(starts, stops, kids)
-            for lo, up in _table_corners(kid, dim - 1, steps)]
+        out += [((start,) + lo, (stop - s,) + up) for start, stop in zip(table[0::2], table[1::2])]
+        return out
+    for start, stop, kid in zip(*table):
+        _table_corners(kid, dim - 1, steps, (start,) + lo, (stop - s,) + up, out)
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,7 +451,9 @@ class BBoxSet:
     def from_bboxes(boxes: Iterable[BBox], dim: int | None = None, stride: Stride | None = None) -> "BBoxSet":
         """Union of the given boxes (overlap allowed), as lattice.check_boxes admits them."""
         live, dim, stride, anchor = check_boxes(boxes, dim, stride)
-        root = _union_all([_box_node(b, dim) for b in live], dim) if live else ()
+        steps = stride.steps
+        spans = [tuple(zip(b.lower.coords, map(add, b.upper.coords, steps))) for b in live]
+        root = _union_boxes(spans, dim) if live else ()
         return _wrap(dim, stride, anchor, root)
 
     @staticmethod
@@ -399,7 +482,7 @@ class BBoxSet:
     def to_bboxes(self) -> list[BBox]:
         """Canonical disjoint box decomposition, sorted by (lower, upper)."""
         corners = _table_corners(self._runs_table(), self.dim, self.stride.steps)
-        corners.sort()
+        corners.sort(key=itemgetter(0))  # disjoint boxes: no two share a lower corner
         box, point, stride = BBox._trusted, Point._trusted, self.stride
         return [box(point(lo), point(up), stride) for lo, up in corners]
 

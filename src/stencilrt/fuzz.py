@@ -68,12 +68,11 @@ def _first_mismatch(boxes_r: list[BBox], boxes_s: list[BBox], dim: int, stride: 
     s = BBoxSet.from_bboxes(boxes_s, dim=dim, stride=stride)
     a = PointSet.from_bboxes(boxes_r, dim=dim, stride=stride, cap=point_cap)
     b = PointSet.from_bboxes(boxes_s, dim=dim, stride=stride, cap=point_cap)
-    norm = r.to_bboxes()
-    decoded = PointSet.from_bboxes(norm, dim=dim, stride=stride, cap=point_cap)
-    if decoded.points != a.points:
+    decoded = oracle_from_bboxset(r, cap=point_cap)
+    if decoded.points != a.points or oracle_from_bboxset(s, cap=point_cap).points != b.points:
         return "from_bboxes"
     # disjoint exactly when the box volumes sum to the size of their union
-    if sum(box.point_count() for box in norm) != decoded.point_count():
+    if sum(box.point_count() for box in r.to_bboxes()) != decoded.point_count():
         return "to_bboxes (overlap)"
 
     for op in SET_OPS:
@@ -89,6 +88,48 @@ def _first_mismatch(boxes_r: list[BBox], boxes_s: list[BBox], dim: int, stride: 
         return "coarsen"
     if oracle_from_bboxset(r.refine(fr), cap=point_cap).points != a.refine(fr).points:
         return "refine"
+    return None
+
+
+CHAIN_STEPS = ("from_bboxes", "expand", "& hull", "coarsen", "refine", "- previous level")
+
+
+def check_chain(seed: int, dim: int, max_boxes: int, max_extent: int,
+                point_cap: int = DEFAULT_POINT_CAP) -> str | None:
+    """One seeded regrid-like chain on the tree and on the oracle in step:
+    the union of flag boxes, grown by a buffer, clipped to the domain hull,
+    coarsened onto a parent lattice and refined back, minus the previous
+    level (the same chain on other flags, up to the clip).
+
+    Returns None when every step agrees, else the first step that differs."""
+    rng = random.Random(seed)
+    steps = tuple(rng.choice((1, 1, 2, 3)) for _ in range(dim))
+    extent = tuple(rng.randint(4, max_extent) for _ in range(dim))
+    stride = Stride(steps)
+    hull = [BBox(Point((0,) * dim), Point(tuple((e - 1) // s * s for e, s in zip(extent, steps))), stride)]
+    flags = random_boxes(rng, extent, steps, rng.randint(0, max_boxes))
+    previous = random_boxes(rng, extent, steps, rng.randint(0, max_boxes))
+    grow = Point(tuple(rng.randint(0, 2) for _ in range(dim)))
+    factor = Stride(tuple(rng.choice((1, 2, 3)) for _ in range(dim)))
+
+    def chain(build, grown):
+        """The sets after each step, built by one implementation."""
+        domain = build(hull)
+        old = grown(build(previous)).intersection(domain)
+        out = [build(flags)]
+        for step in (grown, lambda x: x.intersection(domain), lambda x: x.coarsen(factor),
+                     lambda x: x.refine(factor), lambda x: x.difference(old)):
+            out.append(step(out[-1]))
+        return out
+
+    trees = chain(lambda boxes: BBoxSet.from_bboxes(boxes, dim=dim, stride=stride),
+                  lambda x: x.expand(grow, grow))
+    points = chain(lambda boxes: PointSet.from_bboxes(boxes, dim=dim, stride=stride, cap=point_cap),
+                   lambda x: x.expand(grow, grow, cap=point_cap))
+    for name, tree, want in zip(CHAIN_STEPS, trees, points):
+        if oracle_from_bboxset(tree, cap=point_cap).points != want.points:
+            return (f"mismatch in {name} (seed={seed}, dim={dim}): flags "
+                    f"{' '.join(map(format_bbox, flags))}; previous {' '.join(map(format_bbox, previous))}")
     return None
 
 

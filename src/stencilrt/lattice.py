@@ -50,7 +50,7 @@ class Point:
     def _trusted(cls, coords: tuple[int, ...]) -> "Point":
         """A point without the dimension check, for coordinates read from a checked set."""
         p = object.__new__(cls)
-        object.__setattr__(p, "coords", coords)
+        _set_coords(p, coords)
         return p
 
     @property
@@ -82,6 +82,11 @@ class Point:
 
     def __neg__(self) -> "Point":
         return Point(tuple(-a for a in self.coords))
+
+
+# the slot's own setter: what a frozen dataclass's __setattr__ refuses, and
+# object.__setattr__ reaches only through an attribute lookup by name
+_set_coords = Point.coords.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,9 +155,9 @@ class BBox:
     def _trusted(cls, lower: Point, upper: Point, stride: Stride) -> "BBox":
         """A non-empty box without the corner checks, for corners read from a checked set."""
         box = object.__new__(cls)
-        object.__setattr__(box, "lower", lower)
-        object.__setattr__(box, "upper", upper)
-        object.__setattr__(box, "stride", stride)
+        _set_lower(box, lower)
+        _set_upper(box, upper)
+        _set_stride(box, stride)
         return box
 
     @staticmethod
@@ -230,6 +235,7 @@ class BBox:
             yield Point(c)
 
 
+_set_lower, _set_upper, _set_stride = BBox.lower.__set__, BBox.upper.__set__, BBox.stride.__set__
 _EMPTY_BOXES: dict[int, BBox] = {}
 
 

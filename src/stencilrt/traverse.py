@@ -61,8 +61,8 @@ class IndexSpace:
     def _trusted(cls, lo: tuple[int, ...], hi: tuple[int, ...]) -> IndexSpace:
         """A space without the bounds check, for cells cut from a checked space."""
         space = object.__new__(cls)
-        object.__setattr__(space, "lo", lo)
-        object.__setattr__(space, "hi", hi)
+        _set_lo(space, lo)
+        _set_hi(space, hi)
         return space
 
     @property
@@ -75,6 +75,9 @@ class IndexSpace:
 
     def volume(self) -> int:
         return math.prod(self.extents)
+
+
+_set_lo, _set_hi = IndexSpace.lo.__set__, IndexSpace.hi.__set__
 
 
 def index_space_from_bbox(b: BBox) -> IndexSpace:

@@ -134,7 +134,7 @@ def vloadu(a: AlignedArray, j: int) -> LaneVector:
     """Unaligned load with unknown offset: a[j], ..., a[j+W-1]."""
     s = j + a.padding
     if s < 0 or s + a.width > len(a._buf):
-        raise IndexError(f"lanes [{j}, {j + a.width}) outside data+padding of length-{a.length} array")
+        raise UsageError(f"lanes [{j}, {j + a.width}) outside data+padding of length-{a.length} array")
     return LaneVector(tuple(a._buf[s:s + a.width]))
 
 

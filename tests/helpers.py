@@ -1,8 +1,10 @@
 """Shared generators for randomized set-algebra tests."""
 
-from stencilrt.bboxset import _xor_nodes
+from operator import add
+
+from stencilrt.bboxset import _box_node, _union_all, _xor_nodes
 from stencilrt.fuzz import random_boxes
-from stencilrt.lattice import Stride
+from stencilrt.lattice import BBox, Point, Stride, check_boxes
 
 
 def make_operands(rng, dim, hull_extent=16, max_boxes=8, steps=None):
@@ -32,6 +34,20 @@ def assert_canonical(node, dim):
         assert_canonical(child, dim - 1)
         total = _xor_nodes(total, child, dim - 1)
     assert total == (), f"toggles do not close: {node}"
+
+
+def union_route(boxes, dim):
+    """The tree from_bboxes built before its event sweep, by the same entry
+    check: one balanced pairwise union of the single-box trees, in input order."""
+    live, dim, stride, _ = check_boxes(boxes, dim)
+    spans = [tuple(zip(b.lower.coords, map(add, b.upper.coords, stride.steps))) for b in live]
+    return _union_all([_box_node(span, dim) for span in spans], dim) if spans else ()
+
+
+def staggered_slabs(n):
+    """n 3-D slabs, slab i at x = i spanning z = i..i+n: every slab is active
+    at most of the others' bounds along the last axis."""
+    return [BBox(Point((i, 0, i)), Point((i, 7, i + n)), Stride.ones(3)) for i in range(n)]
 
 
 BOOL_OPS = {

@@ -137,3 +137,28 @@ def test_pairs_arguments_checked(monkeypatch, argv):
     with pytest.raises(SystemExit) as exc:
         collect_bench.main(argv)
     assert exc.value.code == 2
+
+
+def test_pair_report_lists_every_pair_with_its_seed_and_first_side(monkeypatch, tmp_path):
+    p50 = {1001: (10, 8), 1002: (10, 9), 424242: (10.5, 11)}
+    side_of = {"old": 0, "new": 1}
+    _stub_runs(monkeypatch, lambda side, seed: {"op_p50_ms": p50[seed][side_of[side]], "ops_per_s": 5.0})
+    pairs = collect_bench.run_pairs(*_checkouts(tmp_path), "w", 3)
+    rows = [line.split() for line in collect_bench.pair_report(pairs, BOUNDS) if line.startswith("pair ")]
+    assert rows[0][:3] == ["pair", "seed", "first"]
+    assert [row[1:] for row in rows[1:]] == [["1001", "old", "10/8", "5/5"],
+                                             ["1002", "new", "10/9", "5/5"],
+                                             ["424242", "old", "10.5/11", "5/5"]]
+
+
+@pytest.mark.parametrize("p50, holds", [
+    ([(10, 8)] * 9 + [(10, 11)], True),             # 9 of 10 won, gain 2 > spread 0
+    ([(10, 8)] * 8 + [(10, 11)] * 2, False),        # 8 of 10 won
+    ([(9, 8.5), (10, 9.5), (11, 10.5), (12, 11.5)] * 2 + [(10, 9.5)] * 2, False),  # gain 0.5 < q3 - q1
+    ([(10, 11)] * 10, False),                       # worse in every pair
+])
+def test_pair_report_says_whether_a_gain_claim_holds(p50, holds):
+    lines = collect_bench.pair_report(_pairs(op_p50_ms=p50, ops_per_s=[(5, 6)] * len(p50)), BOUNDS)
+    claims = {line.split()[1]: line for line in lines if line.startswith("claim ")}
+    assert claims["op_p50_ms"].split()[2] == ("holds:" if holds else "does")
+    assert claims["ops_per_s"].split()[2] == "holds:"        # higher is better: won 10/10

@@ -89,8 +89,12 @@ class TestLoads:
 
     def test_out_of_padding_rejected(self):
         a = vl.AlignedArray.from_values(range(4), 4)
-        with pytest.raises(IndexError):
+        with pytest.raises(UsageError, match="outside data"):
             vl.vloadu(a, 8)
+        with pytest.raises(UsageError, match="outside data"):
+            vl.vload_aligned(a, -8)
+        with pytest.raises(IndexError):  # the sequence protocol's error
+            a[8]
 
     def test_insufficient_padding_rejected(self):
         with pytest.raises(UsageError):

@@ -28,7 +28,10 @@ pair), and the side that runs first alternates from pair to pair, so a
 machine phase that lasts a pair slows both sides alike.  It prints each
 side's median and quartiles per end-to-end metric, in how many pairs the
 new side did better (a tie counts for neither side), and the verdict that
-comparing gives.
+comparing gives.  Per metric it says whether a gain claim holds: the new
+side won at least 9 of every 10 pairs, and the medians differ by more than
+the old side's q3 - q1.  Then it lists every pair: its seed, the side that
+ran first, and both sides' value of each metric.
 """
 from __future__ import annotations
 
@@ -177,8 +180,10 @@ def run_pairs(new: Path, old: Path, workload: str, n: int) -> list[dict]:
     pairs = []
     for k, seed in enumerate(pair_seeds(n)):
         order = [("old", old), ("new", new)]
-        pair = {"seed": seed}
-        for side, repo in order if k % 2 == 0 else order[::-1]:
+        if k % 2:
+            order.reverse()
+        pair = {"seed": seed, "first": order[0][0]}
+        for side, repo in order:
             print(f"collect_bench: {workload} pair {k + 1}/{n} seed {seed} {side}", file=sys.stderr, flush=True)
             pair[side] = run_once(repo, spec["command"], workload, seed, spec["run_seconds"], 0)
         pairs.append(pair)
@@ -189,12 +194,25 @@ def _clean(run: dict) -> bool:
     return run["correct"] and not run["failed"]
 
 
+def gain_claim(won: int, n: int, o: dict, m: dict, better: str) -> str:
+    """Whether a gain of the new side may be claimed (choosing-metrics rule): it
+    won at least 9 of every 10 pairs, and its median beats the old one by more
+    than the old runs' own spread, q3 - q1."""
+    gain = o["median"] - m["median"] if better == "lower" else m["median"] - o["median"]
+    spread = o["q3"] - o["q1"]
+    holds = 10 * won >= 9 * n and gain > spread
+    return (f"{'holds' if holds else 'does not hold'}: new won {won}/{n} (needs {-(-9 * n // 10)}), "
+            f"median gain {gain:.4g} against old q3 - q1 {spread:.4g}")
+
+
 def pair_report(pairs: list[dict], bounds: dict[str, dict]) -> list[str]:
     """Each side's median [q1, q3] per end-to-end metric, the pairs the new side
-    won and the verdict against the bound, then the operation counts, failures
-    and correctness of the runs."""
+    won and the verdict against the bound; then whether a gain claim holds per
+    metric, each pair's seed, first side and figures, and the operation counts,
+    failures and correctness of the runs."""
     fmt = lambda s: f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
     lines = [f"{'metric':<14} {'old median [q1, q3]':>30} {'new median [q1, q3]':>30}  new won  verdict"]
+    claims = []
     for metric, bound in bounds.items():
         old, new = ([p[side]["metrics"][metric]["value"] for p in pairs] for side in ("old", "new"))
         sign = 1 if bound["better"] == "lower" else -1
@@ -202,6 +220,12 @@ def pair_report(pairs: list[dict], bounds: dict[str, dict]) -> list[str]:
         o, m = summarize(old), summarize(new)
         lines.append(f"{metric:<14} {fmt(o):>30} {fmt(m):>30}  {f'{won}/{len(pairs)}':>7}  "
                      f"{verdict(o, m, old, new, bound)}")
+        claims.append(f"claim {metric:<14} {gain_claim(won, len(pairs), o, m, bound['better'])}")
+    lines += claims
+    lines.append(f"pair {'seed':>7} {'first':>5}  " + "  ".join(f"{m + ' old/new':>24}" for m in bounds))
+    for p in pairs:
+        figures = (f"{p['old']['metrics'][m]['value']:.4g}/{p['new']['metrics'][m]['value']:.4g}" for m in bounds)
+        lines.append(f"pair {p['seed']:>7} {p.get('first', '?'):>5}  " + "  ".join(f"{f:>24}" for f in figures))
     old, new = ([p[side]["attempted"] for p in pairs] for side in ("old", "new"))
     lines.append(f"{'ops':<14} {fmt(summarize(old)):>30} {fmt(summarize(new)):>30}")
     bad = [f"{side} seed {p['seed']}" for p in pairs for side in ("old", "new") if not _clean(p[side])]
