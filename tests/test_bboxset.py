@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (assert_canonical, make_operands, reference_apply, reference_apply_1d, staggered_slabs,
                      union_route)
-from stencilrt.bboxset import SET_OPS, BBoxSet, _apply_1d, _runs
+from stencilrt.bboxset import SET_OPS, BBoxSet, _apply_trees, _runs
 from stencilrt.fuzz import random_boxes
 from stencilrt.lattice import BBox, Point, Stride, UsageError, point, stride
 from stencilrt.oracle import PointSet, oracle_from_bboxset
@@ -182,7 +182,8 @@ def _far_box(steps, anchor, distance):
 class TestDeltaSweep:
     def test_1d_step_matches_reference(self, rng):
         """Every op on coordinate tuples that share bounds, nest and touch,
-        against the parity-bit sweep; b's toggles land on a's run ends too."""
+        through the bitset pass, against the parity-bit sweep; b's toggles
+        land on a's run ends too."""
         for _ in range(2000):
             coords = sorted(rng.sample(range(30), rng.randrange(0, 16, 2)))
             a = tuple(coords)
@@ -192,7 +193,7 @@ class TestDeltaSweep:
                 b = b[:len(b) // 2 * 2]
             for op in ("union", "intersection", "difference"):
                 if a and b:
-                    assert _apply_1d(op, a, b) == reference_apply_1d(op, a, b), (op, a, b)
+                    assert _apply_trees(op, a, b, 1) == reference_apply_1d(op, a, b), (op, a, b)
 
     def test_matches_reference_sweep(self, rng):
         """Every op gives the very tree the full-slice sweep builds, including
@@ -220,6 +221,66 @@ class TestDeltaSweep:
             for op in SET_OPS:
                 want = reference_apply(op, r.root, s.root, dim)
                 assert r.apply(op, s).root == want, (k, op)
+
+    def test_cost_independent_of_coordinate_span(self, rng):
+        """A pass indexes its bitsets by its own keys, never by coordinate:
+        with dimension-1 keys at negative coordinates spread over up to
+        10^12, every op and expand still builds the reference tree, and no
+        call's traced peak grows with the span (a bitset indexed by the
+        offset from the least key would need span / 8 bytes).  Spans grow,
+        so such a bitset fails at 10^7, long before it would need 10^12 / 8."""
+        for span in (10**3, 10**6, 10**7, 10**9, 10**12):
+            for dim in (1, 2, 3, 4):
+                steps = tuple(rng.randint(1, 3) for _ in range(dim))
+                anchor = tuple(rng.randrange(s) for s in steps)
+                far = Point((-(span // steps[0]) * steps[0],) + (0,) * (dim - 1))
+                sets = []
+                for _ in range(2):
+                    boxes = _random_boxes(rng, steps, anchor, rng.randint(2, 4))
+                    boxes = [b.shift(far) if j % 2 else b for j, b in enumerate(boxes)]
+                    sets.append(BBoxSet.from_bboxes(boxes, dim=dim, stride=Stride(steps)))
+                r, s = sets
+                lo = Point(tuple(rng.randint(0, 2) for _ in range(dim)))
+                hi = Point(tuple(rng.randint(0, 2) for _ in range(dim)))
+                calls = {op: (lambda op=op: r.apply(op, s)) for op in SET_OPS}
+                calls["expand"] = lambda: r.expand(lo, hi)
+                for name, call in calls.items():
+                    tracemalloc.start()
+                    try:
+                        got = call()
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak < 256 * 1024, (span, dim, name, peak)
+                    if name == "expand":
+                        assert got.root == _box_route_expand(r, lo, hi).root, (span, dim)
+                    else:
+                        assert got.root == reference_apply(name, r.root, s.root, dim), (span, dim, name)
+
+    def test_operand_past_the_other_end_stays_unconverted(self, rng):
+        """A pass converts an operand only up to where the other one ends:
+        against one box below all of a 300-box set, no op in either order
+        peaks near the 50-230 KiB that converting the large set takes.  One
+        box inside or above the set checks the trees where the pass does
+        convert the large set in part or in full."""
+        unit = Stride((1, 1, 1))
+        boxes = []
+        for _ in range(300):
+            lo = tuple(rng.randrange(100) for _ in range(3))
+            boxes.append(BBox(Point(lo), Point(tuple(c + rng.randrange(1, 6) for c in lo)), unit))
+        big = BBoxSet.from_bboxes(boxes)
+        for z, bounded in ((-10, True), (40, False), (110, False)):
+            box = BBoxSet.from_bboxes([BBox(Point((3, 3, z)), Point((6, 6, z + 5)), unit)])
+            for op in ("union", "intersection", "difference"):
+                for r, s in ((big, box), (box, big)):
+                    tracemalloc.start()
+                    try:
+                        got = r.apply(op, s)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert got.root == reference_apply(op, r.root, s.root, 3), (z, op)
+                    assert peak < 16 * 1024 or not bounded, (z, op, peak)
 
 
 class TestSymmetricDifference:
