@@ -50,10 +50,21 @@ stored where the slice changed (the union of a box list is Klee's measure
 problem; van Leeuwen & Wood, J. Algorithms 1981).  An event costs about its
 active count, so where that summed count passes n log2 n (boxes active at
 most events, as in staggered slabs) the boxes are unioned pairwise instead.
-Expand keeps the pairwise union: its grown runs overlap their neighbours,
-and every event-sweep form measured on them (a full union of the active
-runs at each event, the same with a two-stack window, a three-level prism
-sweep) was slower or no faster.
+
+From dimension 3 up, ``from_bboxes`` and ``expand`` lift the pass form one
+dimension: a dimension-2 slice is one int plane, whose bit r*nx + c stands
+for the cell [ys[r], ys[r+1]) x [xs[c], xs[c+1]) of the pass's sorted keys
+on axes 1 and 0.  A rectangle is a row bitset times a repunit of its rows
+(_painter), a union is |, and _plane_node reads a plane back into its
+canonical node.  The 3-D sweep of ``from_bboxes`` ORs the active boxes'
+rectangles; ``expand`` paints each row run's dilated bitset across its
+grown rows.  A plane has len(ys) * len(xs) bits whatever the set holds, and
+each corner is read out in Python, so _plane_fits weighs the plane bits
+against the row route's work and keeps sparse, wide inputs on rows (600
+one-point boxes on a diagonal took 0.9 s in ``from_bboxes`` and 250 MiB in
+``expand`` on planes, against 2.5 and 24 ms on rows), as well as boxes that
+each stay active at one bound only.  Union, intersection and difference
+stay on rows.
 
 Queries read a runs table that each set builds once, on first use, and keeps
 for its lifetime: for every node, the sorted run starts, the run stops and the
@@ -63,10 +74,11 @@ the corners from it, and ``point_count`` sums the boxes ``to_bboxes`` returns.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import pairwise
-from operator import add, itemgetter, mod, sub, xor as _xor
+from functools import partial, reduce
+from itertools import accumulate, pairwise
+from operator import add, itemgetter, mod, or_, sub, xor as _xor
 from typing import Callable, Iterable, Iterator
 
 from .lattice import (SET_OPS, BBox, Point, Stride, check_boxes, check_dims, check_expand, check_op, check_operands,
@@ -151,11 +163,16 @@ def _tail(op: str, a: _Node, b: _Node) -> _Node:
 # -- passes: dimension-1 slices as bitsets over the pass's own keys -----------
 
 
+def _slices(nodes: Iterable[_Node], dim: int, level: int = 1) -> list[_Node]:
+    """The dimension-level slices of some trees."""
+    for _ in range(dim - level):
+        nodes = [c for node in nodes for _, c in node]
+    return nodes
+
+
 def _leaf_keys(nodes: Iterable[_Node], dim: int) -> set[int]:
     """The distinct dimension-1 keys of some trees."""
-    for _ in range(dim - 1):
-        nodes = [c for node in nodes for _, c in node]
-    return {k for node in nodes for k in node}
+    return {k for node in _slices(nodes, dim) for k in node}
 
 
 def _ranks(keys: list[int]) -> dict[int, int]:
@@ -203,6 +220,46 @@ def _set_bits(x: int) -> list[int]:
         out.append(low.bit_length() - 1)
         x ^= low
     return out
+
+
+# -- planes: dimension-2 slices as 2-D bitmaps over the pass's own keys -------
+
+
+def _plane_fits(cost: int, work: int) -> bool:
+    """Whether a pass pays for planes: cost counts the plane bits it would
+    build or read, work the row route's steps that planes can save.  Planes
+    pay while they come to at most 32 words a step, and tiny ones always do."""
+    return cost <= 2048 * work + (1 << 16)
+
+
+def _painter(ys: list[int], nx: int) -> Callable[[int, int, int], int]:
+    """paint(y0, y1, row): the plane holding the row bitset in every row from
+    key y0 to key y1.  Row r of a plane stands for [ys[r], ys[r + 1]), its
+    bit r*nx + c for that row's part of the row bitsets' bit c."""
+    at = {k: r * nx for r, k in enumerate(ys)}
+    top = len(ys) * nx
+    ones = ((1 << top) - 1) // ((1 << nx) - 1)  # bit 0 of every row
+    return lambda y0, y1, row: row * (ones >> top - at[y1] + at[y0]) << at[y0]
+
+
+def _plane_node(m: int, ys: list[int], xs: list[int]) -> _Node:
+    """The canonical dimension-2 node of a plane over the keys ys and xs: its
+    leaves are the corner bits m ^ m<<1 ^ m<<nx ^ m<<(nx+1), read lowest
+    first, bit r*nx + c standing for the leaf (xs[c], ys[r])."""
+    nx = len(xs)
+    d = m ^ (m << nx)
+    corners = bin(d ^ (d << 1))
+    top = len(corners) - 1  # the string index of bit 0
+    out, r0 = [], -1
+    i = corners.rfind("1")
+    while i > 1:
+        r, c = divmod(top - i, nx)
+        if r != r0:
+            r0, row = r, []
+            out.append((ys[r], row))
+        row.append(xs[c])
+        i = corners.rfind("1", 0, i)
+    return tuple([(k, tuple(row)) for k, row in out])
 
 
 def _sweep(op: str, a: _Node, b: _Node, dim: int) -> _Node:
@@ -372,39 +429,67 @@ def _coarsen_node(node: _Node, dim: int, offset: tuple[int, ...], new_steps: tup
 def _expand_node(node: _Node, dim: int, lo: tuple[int, ...], hi: tuple[int, ...], steps: tuple[int, ...]) -> _Node:
     """Dilate by lo/hi steps, in one pass: the input's slices are bitsets over
     its own keys, and the result's over the grown keys k - lo*s and k + hi*s,
-    so a run [k0, k1) dilates to the bits from k0 - lo*s to k1 + hi*s."""
+    so a run [k0, k1) dilates to the bits from k0 - lo*s to k1 + hi*s.  From
+    dimension 3 up, where the plane fits, dimension-2 slices grow as planes."""
     if not node:
         return ()
-    keys = sorted(_leaf_keys((node,), dim))
+    level1 = _slices((node,), dim)
+    keys = sorted({k for c in level1 for k in c})
     down, up = lo[0] * steps[0], hi[0] * steps[0]
     grown = sorted({k - down for k in keys} | {k + up for k in keys})
     bit = _ranks(grown)
     lows = [bit[k - down] for k in keys]
     highs = [bit[k + up] for k in keys]
 
+    memo = {}
+
     def dilate(m: int) -> int:
-        ends = _set_bits(m ^ (m << 1))
-        out = 0
-        for i in range(0, len(ends), 2):
-            out |= highs[ends[i + 1]] - lows[ends[i]]
+        out = memo.get(m)
+        if out is None:
+            ends = _set_bits(m ^ (m << 1))
+            out = 0
+            for i in range(0, len(ends), 2):
+                out |= highs[ends[i + 1]] - lows[ends[i]]
+            memo[m] = out
         return out
 
-    return _convert(_grow(_convert(node, dim, _into(keys)), dim, lo, hi, steps, dilate), dim, _back(grown))
+    tree = _convert(node, dim, _into(keys))
+    if dim > 2:
+        down, up = lo[1] * steps[1], hi[1] * steps[1]
+        level2 = _slices((node,), dim, 2)
+        ys = {k for c in level2 for k, _ in c}
+        rows = {k - down for k in ys} | {k + up for k in ys}
+        nx = len(grown)
+        # a plane per dimension-2 slice of the input, against its leaves
+        if _plane_fits(len(rows) * nx * len(level2), sum(map(len, level1))):
+            rows = sorted(rows)
+            planes = _grow(tree, dim, lo, hi, steps, dilate, _painter(rows, nx))
+            return _convert(planes, dim - 1, lambda m: _plane_node(m, rows, grown))
+    return _convert(_grow(tree, dim, lo, hi, steps, dilate), dim, _back(grown))
 
 
 def _grow(node: _Node, dim: int, lo: tuple[int, ...], hi: tuple[int, ...], steps: tuple[int, ...],
-          dilate: Callable[[int], int]) -> _Node:
+          dilate: Callable[[int], int], paint: Callable[[int, int, int], int] | None = None) -> _Node:
     """Expand on a pass form: each run's slice is dilated and its span grown
-    to [start - lo*s, stop + hi*s); the union of the grown runs merges them."""
+    to [start - lo*s, stop + hi*s); the union of the grown runs merges them.
+    With paint, a dimension-2 slice grows into a plane, each row run's
+    dilated bitset painted across its grown rows, and the grown runs above
+    are unioned as trees of planes."""
     if dim == 1:
         return dilate(node)
     d1 = dim - 1
     down, up = lo[d1] * steps[d1], hi[d1] * steps[d1]
+    if paint and dim == 2:
+        plane = 0
+        for start, stop, run in _runs(node, 2, _xor):
+            plane |= paint(start - down, stop + up, dilate(run))
+        return plane
     grown = []
     for start, stop, run in _runs(node, dim, _xor):
-        run = _grow(run, d1, lo, hi, steps, dilate)
+        run = _grow(run, d1, lo, hi, steps, dilate, paint)
         grown.append(((start - down, run), (stop + up, run)))
-    return _unite(grown, dim)
+    # a tree of planes is a pass form one dimension lower
+    return _unite(grown, d1 if paint else dim)
 
 
 def _union_boxes(boxes: list[tuple[tuple[int, int], ...]], dim: int) -> _Node:
@@ -412,7 +497,8 @@ def _union_boxes(boxes: list[tuple[tuple[int, int], ...]], dim: int) -> _Node:
     sweep along the last axis (see the module docstring).  The sweep runs
     while the active counts summed over the events, counted box by box, stay
     within n log2 n; past that (boxes active at most events, where it would
-    cost up to n^2) _union_all unions the single-box trees pairwise."""
+    cost up to n^2) _union_all unions the single-box trees pairwise.  At
+    dimension 3 the slices are planes where _plane_fits says they pay."""
     if dim == 1:
         return _merge_intervals([b[0] for b in boxes])
     n, d1 = len(boxes), dim - 1
@@ -422,13 +508,25 @@ def _union_boxes(boxes: list[tuple[tuple[int, int], ...]], dim: int) -> _Node:
     keys = sorted({k for span in spans for k in span})
     at = {k: j for j, k in enumerate(keys)}
     starts = [[] for _ in keys]
-    budget = n * n.bit_length()
+    cap = budget = n * n.bit_length()
     for b, (lo, hi) in zip(boxes, spans):
         j = at[lo]
         starts[j].append(b)
         budget -= at[hi] - j
         if budget < 0:
             return _union_all([_box_node(b, dim) for b in boxes], dim)
+    # planes read a plane per bound and keep a rectangle per active box; they
+    # save the active counts past 1.5 per box, as painting a box and reading
+    # out its corners cost about that many row steps (the bounds, a lower
+    # bound of the cost, are checked first, as the other counts take time)
+    work = cap - budget - 3 * n // 2
+    if dim == 3 and _plane_fits(len(keys), work):
+        xs = {k for b in boxes for k in b[0]}
+        ys = {k for b in boxes for k in b[1]}
+        stops = Counter(at[hi] for _, hi in spans)
+        peak = max(accumulate(len(new) - stops[j] for j, new in enumerate(starts)))
+        if _plane_fits(len(ys) * len(xs) * (len(keys) + peak), work):
+            return _union_rects(keys, starts, sorted(ys), sorted(xs))
     active, out, prev = [], [], ()
     for k, new in zip(keys, starts):
         active = [b for b in active if b[d1][1] > k]
@@ -436,6 +534,22 @@ def _union_boxes(boxes: list[tuple[tuple[int, int], ...]], dim: int) -> _Node:
         cur = _union_boxes(active, d1) if active else ()
         if cur != prev:
             out.append((k, _xor_nodes(prev, cur, d1)))
+            prev = cur
+    return tuple(out)
+
+
+def _union_rects(keys: list[int], starts: list[list], ys: list[int], xs: list[int]) -> _Node:
+    """The 3-D sweep of _union_boxes on planes over the boxes' keys ys and xs:
+    the slice at a bound is the OR of the active boxes' rectangles, each
+    painted once, and each change is read out once, from prev ^ cur."""
+    bit, paint = _ranks(xs), _painter(ys, len(xs))
+    active, out, prev = [], [], 0
+    for k, new in zip(keys, starts):
+        active = [a for a in active if a[0] > k]
+        active += [(b[2][1], paint(*b[1], bit[b[0][1]] - bit[b[0][0]])) for b in new]
+        cur = reduce(or_, [rect for _, rect in active], 0)
+        if cur != prev:
+            out.append((k, _plane_node(prev ^ cur, ys, xs)))
             prev = cur
     return tuple(out)
 

@@ -97,13 +97,15 @@ def cmd_stencil_bench(args) -> int:
     tuned, tuner = run_tuned(n, iters, seed, topo)
 
     ok = bit_identical(serial.final, naive.final) and bit_identical(serial.final, tuned.final)
+    ns = {name: [int(t * 1e9) for t in run.iter_seconds]
+          for name, run in (("serial", serial), ("naive", naive), ("tuned", tuned))}
     rows = ["impl,iter,elapsed_ns,phase,is_best,params"]
-    for i, t in enumerate(serial.iter_seconds):
-        rows.append(f"serial,{i},{int(t * 1e9)},,,")
-    for i, t in enumerate(naive.iter_seconds):
-        rows.append(f"naive,{i},{int(t * 1e9)},,,")
-    for i, (t, log) in enumerate(zip(tuned.iter_seconds, tuner.log)):
-        rows.append(f"tuned,{i},{int(t * 1e9)},{log['phase']},{log['is_best']},{log['params']}")
+    for i, t in enumerate(ns["serial"]):
+        rows.append(f"serial,{i},{t},,,")
+    for i, t in enumerate(ns["naive"]):
+        rows.append(f"naive,{i},{t},,,")
+    for i, (t, log) in enumerate(zip(ns["tuned"], tuner.log)):
+        rows.append(f"tuned,{i},{t},{log['phase']},{log['is_best']},{log['params']}")
     if args.out:
         Path(args.out).write_text("\n".join(rows) + "\n")
 
@@ -113,6 +115,8 @@ def cmd_stencil_bench(args) -> int:
     print(f"median seconds/iter: serial {med(serial.iter_seconds):.4f}  "
           f"naive {med(naive.iter_seconds):.4f}  "
           f"tuned(last {tail}) {med(tuned.iter_seconds[-tail:]):.4f}")
+    # the sums of the CSV's elapsed_ns rows: a whole run counts the tuner's excursions too
+    print("total ms of the run: " + "  ".join(f"{name} {sum(t) / 1e6:.3f}" for name, t in ns.items()))
     return 0 if ok else 1
 
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from helpers import (assert_canonical, make_operands, reference_apply, reference_apply_1d, staggered_slabs,
                      union_route)
+from stencilrt import bboxset
 from stencilrt.bboxset import SET_OPS, BBoxSet, _apply_trees, _runs
-from stencilrt.fuzz import random_boxes
+from stencilrt.fuzz import grid_of_boxes, random_boxes
 from stencilrt.lattice import BBox, Point, Stride, UsageError, point, stride
 from stencilrt.oracle import PointSet, oracle_from_bboxset
 
@@ -25,6 +26,26 @@ def lshape():
         BBox(point(0, 0), point(3, 1), ONE2),
         BBox(point(0, 2), point(1, 3), ONE2),
     ])
+
+
+def _with_variants(rng, boxes, dim, steps):
+    """The boxes plus, for each, a duplicate, a nested one-point box, a
+    touching neighbour or an empty box, shuffled."""
+    out = list(boxes)
+    for b in boxes:
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append(b)
+        elif kind == 1:
+            out.append(BBox(b.upper, b.upper, b.stride))
+        elif kind == 2:
+            axis = rng.randrange(dim)
+            width = b.upper.coords[axis] - b.lower.coords[axis] + steps[axis]
+            out.append(b.shift(Point(tuple(width if a == axis else 0 for a in range(dim)))))
+        else:
+            out.append(BBox.empty(dim))
+    rng.shuffle(out)
+    return out
 
 
 class TestDerivativeCounts:
@@ -75,21 +96,7 @@ class TestFromBoxes:
         for _ in range(200):
             dim = rng.randint(1, 4)
             steps = tuple(rng.randint(1, 3) for _ in range(dim))
-            base = random_boxes(rng, (12,) * dim, steps, rng.randint(0, 10))
-            boxes = list(base)
-            for b in base:
-                kind = rng.randrange(4)
-                if kind == 0:
-                    boxes.append(b)
-                elif kind == 1:
-                    boxes.append(BBox(b.upper, b.upper, b.stride))
-                elif kind == 2:
-                    axis = rng.randrange(dim)
-                    width = b.upper.coords[axis] - b.lower.coords[axis] + steps[axis]
-                    boxes.append(b.shift(Point(tuple(width if a == axis else 0 for a in range(dim)))))
-                else:
-                    boxes.append(BBox.empty(dim))
-            rng.shuffle(boxes)
+            boxes = _with_variants(rng, random_boxes(rng, (12,) * dim, steps, rng.randint(0, 10)), dim, steps)
             r = BBoxSet.from_bboxes(boxes, dim=dim, stride=Stride(steps))
             assert r.root == union_route(boxes, dim)
             assert_canonical(r.root, dim)
@@ -429,6 +436,151 @@ class TestExpand:
     def test_negative_rejected(self):
         with pytest.raises(UsageError):
             lshape().expand(point(-1, 0), point(0, 0))
+
+
+def _regrid_flags(rng, per_cluster=30, extent=128):
+    """A regrid step's flag boxes: one cluster of 1-7 point boxes around a
+    centre in each octant of [0, extent)^3, as amr-regrid draws them."""
+    half, boxes = extent // 2, []
+    for octant in range(8):
+        centre = [(octant >> a & 1) * half + rng.uniform(20, half - 20) for a in range(3)]
+        for _ in range(per_cluster):
+            lo = [min(max(int(rng.gauss(c, 6.0)), 0), extent - 1) for c in centre]
+            up = [min(v + rng.randint(1, 7), extent - 1) for v in lo]
+            boxes.append(BBox(Point(tuple(lo)), Point(tuple(up)), Stride.ones(3)))
+    return boxes
+
+
+def _route(monkeypatch, planes, call):
+    """call() with every pass forced onto planes (True) or rows (False)."""
+    with monkeypatch.context() as m:
+        m.setattr(bboxset, "_plane_fits", lambda *counts: planes)
+        return call()
+
+
+def _no_slower_than_rows(monkeypatch, call, reps):
+    """call() builds the row route's tree and, best of 5 samples of reps
+    calls in alternating order with the cyclic collector off (as the
+    staggered-slab test times), takes at most 1.25x the row route forced."""
+    want = _route(monkeypatch, False, call)
+    sample = {"guarded": lambda: [call() for _ in range(reps)],
+              "rows": lambda: _route(monkeypatch, False, lambda: [call() for _ in range(reps)])}
+    times = {"guarded": [], "rows": []}
+    gc.disable()
+    try:
+        for k in range(5):
+            for side in ("guarded", "rows")[::1 if k % 2 else -1]:
+                t0 = time.perf_counter()
+                trees = sample[side]()
+                times[side].append(time.perf_counter() - t0)
+                assert trees == [want] * reps, side
+    finally:
+        gc.enable()
+    assert min(times["guarded"]) <= 1.25 * min(times["rows"]), times
+
+
+class TestPlanes:
+    """From dimension 3 up, from_bboxes and expand build dimension-2 slices as
+    planes where _plane_fits says they pay, and as rows elsewhere."""
+
+    def test_plane_route_matches_row_route(self, rng, monkeypatch):
+        """Tree for tree, on 3-D and 4-D inputs with strides 1-3, negative
+        anchors and empty, duplicate, nested and touching boxes; expand by
+        0-3 strides per axis and side, where no growth returns the very tree."""
+        for k in range(160):
+            dim = 3 + k % 2
+            steps = tuple(rng.randint(1, 3) for _ in range(dim))
+            anchor = tuple(rng.randrange(s) for s in steps)
+            boxes = _with_variants(rng, _random_boxes(rng, steps, anchor, rng.randint(0, 8)), dim, steps)
+            build = lambda: BBoxSet.from_bboxes(boxes, dim=dim, stride=Stride(steps))
+            rows, planes = _route(monkeypatch, False, build), _route(monkeypatch, True, build)
+            assert planes.root == rows.root == build().root, k
+            assert_canonical(planes.root, dim)
+            zero = Point.zero(dim)
+            assert _route(monkeypatch, True, lambda: rows.expand(zero, zero)).root == rows.root, k
+            assert _route(monkeypatch, False, lambda: rows.expand(zero, zero)).root == rows.root, k
+            lo = Point(tuple(rng.randint(0, 3) for _ in range(dim)))
+            hi = Point(tuple(rng.randint(0, 3) for _ in range(dim)))
+            grow = lambda: rows.expand(lo, hi)
+            want = _route(monkeypatch, False, grow).root
+            assert _route(monkeypatch, True, grow).root == want == grow().root, (k, lo, hi)
+            assert_canonical(want, dim)
+
+    def test_regrid_inputs_take_planes(self, rng, monkeypatch):
+        """A regrid step's flag boxes and their expand never reach the row
+        route: the 2-D unions of from_bboxes' sweep and the 2-D growth of
+        expand raise here, and the trees equal the row route's."""
+        boxes = _regrid_flags(rng)
+        g = Point((2, 2, 2))
+        flagged = _route(monkeypatch, False, lambda: BBoxSet.from_bboxes(boxes))
+        grown = _route(monkeypatch, False, lambda: flagged.expand(g, g))
+        union_boxes, grow = bboxset._union_boxes, bboxset._grow
+
+        def no_row_unions(boxes, dim):
+            assert dim != 2, "from_bboxes took the row route"
+            return union_boxes(boxes, dim)
+
+        def no_row_growth(node, dim, lo, hi, steps, dilate, paint=None):
+            assert paint or dim == 1, "expand took the row route"
+            return grow(node, dim, lo, hi, steps, dilate, paint)
+
+        monkeypatch.setattr(bboxset, "_union_boxes", no_row_unions)
+        monkeypatch.setattr(bboxset, "_grow", no_row_growth)
+        assert BBoxSet.from_bboxes(boxes).root == flagged.root
+        assert flagged.expand(g, g).root == grown.root
+
+    def test_sparse_wide_inputs_keep_the_row_route(self, monkeypatch):
+        """600 one-point boxes on a 3-D diagonal, two apart: a plane would hold
+        1,200 x 1,200 bits for each of 1,200 bounds, and built anyway it took
+        over 300x the row route's time in from_bboxes and 250 MiB in expand.
+        Guarded, from_bboxes and expand each take at most 1.25x the row route
+        (see _no_slower_than_rows; a from_bboxes sample is 8 calls, as one
+        takes a few ms) and peak under 16 MiB."""
+        unit = Stride.ones(3)
+        boxes = [BBox(Point((2 * i,) * 3), Point((2 * i,) * 3), unit) for i in range(600)]
+        g = Point((1, 1, 1))
+        flagged = BBoxSet.from_bboxes(boxes)
+        calls = {"from_bboxes": (lambda: BBoxSet.from_bboxes(boxes).root, 8),
+                 "expand": (lambda: flagged.expand(g, g).root, 1)}
+        for name, (call, reps) in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, (name, peak)
+            _no_slower_than_rows(monkeypatch, call, reps)
+
+    def test_boxes_at_one_bound_each_keep_the_row_route(self, monkeypatch):
+        """grid_of_boxes(4096, 3), disjoint boxes each active at one bound:
+        on rows each is unioned once, and on planes its corners cost a Python
+        read-out each, which took 1.9-3.3x the row route's time.  Guarded,
+        from_bboxes takes at most 1.25x the row route (a sample is 2 calls)."""
+        boxes = grid_of_boxes(4096, 3)
+        _no_slower_than_rows(monkeypatch, lambda: BBoxSet.from_bboxes(boxes).root, 2)
+
+    def test_boxes_active_together_keep_the_row_route(self):
+        """1,000 boxes with corners among about 340 values on x and y, each
+        spanning 2-4 of about 7 bounds along z: nearly all are active at
+        once, so the plane route would keep about 1,000 rectangles of a
+        340 x 340-bit plane (7.9 MiB traced, against 1.0 MiB on rows).  The
+        guard counts the boxes active together, so the traced peak stays
+        under 4 MiB."""
+        rng = random.Random(3)
+        boxes = []
+        for _ in range(1000):
+            x, y, z = rng.randrange(300), rng.randrange(300), rng.randrange(3)
+            up = (x + rng.randrange(40), y + rng.randrange(40), z + rng.randrange(2, 5))
+            boxes.append(BBox(Point((x, y, z)), Point(up), Stride.ones(3)))
+        tracemalloc.start()
+        try:
+            r = BBoxSet.from_bboxes(boxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        assert_canonical(r.root, 3)
 
 
 def _box_route_coarsen(r, factor):

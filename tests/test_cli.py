@@ -163,6 +163,21 @@ class TestStencilBench:
         phases = {line.split(",")[3] for line in tuned}
         assert phases & {"warmup", "initial", "climbing", "excursion"}
 
+    def test_totals_are_the_csv_sums(self, tmp_path, capsys):
+        """Each path's printed total is the sum of its CSV elapsed_ns rows,
+        to the printed precision."""
+        out = tmp_path / "st.csv"
+        assert main(["stencil-bench", "--extent", "8", "--iters", "5", "--out", str(out)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("total ms of the run: "))
+        printed = dict(re.findall(r"(\w+) (\d+\.\d{3})", line))
+        sums = {}
+        for row in out.read_text().splitlines()[1:]:
+            impl, _, elapsed = row.split(",")[:3]
+            sums[impl] = sums.get(impl, 0) + int(elapsed)
+        assert set(printed) == set(sums) == {"serial", "naive", "tuned"}
+        for impl, total in sums.items():
+            assert abs(float(printed[impl]) - total / 1e6) <= 0.0005, (impl, printed[impl], total)
+
     def test_topology_file_rng_seed_reaches_tuner(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "topo.cfg"
         cfg.write_text("rng_seed = 7\n")
