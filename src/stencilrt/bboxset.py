@@ -15,12 +15,20 @@ coordinates (k0, k1, ...), so its runs are [k0, k1), [k2, k3), ...; above,
 empty children.  The empty tuple is the empty node at every dimension, so
 ``not node`` tests emptiness.
 
-Operations linear over xor (shift, refine, coarsen, symmetric difference)
-are structural passes over the toggles.  Union, intersection and difference
-run the sweep: advance over the merged toggle coordinates of both operands,
-reconstruct the running operand slices by xor-accumulation, and store each
-change of the result as computed from that coordinate's operand toggles
-against the other operand's slice, never from the whole result slice.
+Operations linear over xor (shift, refine, coarsen, symmetric difference,
+intersection with one box) are structural passes over the toggles.  Union
+and intersection run the sweep: advance over the merged toggle coordinates
+of both operands, reconstruct the running operand slices by
+xor-accumulation, and store each change of the result as computed from
+that coordinate's operand toggles against the other operand's slice, never
+from the whole result slice.  Difference reuses the pair's intersection M,
+as A - B = A ^ M is a structural merge.  The process remembers the last
+pair's M, keyed by both operands' roots (the computed table of BDD
+packages; Brace, Rudell & Bryant, DAC 1990), so a pair's intersection and
+both differences sweep once; one entry bounds what it keeps alive to one
+pair and one meet.  Against one box the meet is a clip (_clip), never
+remembered: the long-lived box of a domain would keep the last set it
+clipped alive.
 Expand is one union of grown runs: each run's slice is dilated and its span
 grown, and a balanced pairwise union merges the overlapping pieces.
 
@@ -38,10 +46,12 @@ ranges; Chambi et al., Softw. Pract. Exper. 2016).  Past the last key of
 the operand that ends first, a union, intersection or difference only
 appends the other's toggles, so those stay tuples and are not converted.
 Expand maps its input's keys to the grown keys k - lo*s and k + hi*s and
-dilates each slice run by run.  On ``amr-regrid`` steps (untraced, seed 1001, medians of 10 steps on a
-2-core machine) expand fell from 24.3 to 12.5-13.0 ms and each difference
-from 7.5-7.6 to 4.9-5.3 ms; the clip to the domain, where the conversions
-outweigh the sweep, rose from 1.8 to 2.2-2.3 ms.
+dilates each slice run by run.  On ``amr-regrid`` steps (untraced, seed
+1001, medians of 10 steps on a 2-core machine) expand fell from 24.3 to
+12.5-13.0 ms on bitsets.  On a later, faster 2-core machine (best of 7,
+medians over 8 steps), one intersection and two merges took a step's two
+differences from 4.2 to 2.6 ms, and the clip to the domain, where a pass's
+conversions outweigh its sweep, fell from 0.90 ms on the sweep to 0.26 ms.
 
 ``from_bboxes`` builds its tree in one event sweep over the boxes' bounds
 along the last axis: at each bound the slice is the union of the active
@@ -73,7 +83,7 @@ the corners from it, and ``point_count`` sums the boxes ``to_bboxes`` returns.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -97,6 +107,9 @@ _DELTA_OPS = {
 _Node = tuple  # (k0, k1, ...) at dim 1, ((int, _Node), ...) above
 # (starts, stops, child tables) at dim >= 2; the node itself at dim 1
 _Table = tuple
+# The last intersection swept for a pair of operands, neither one box:
+# (root, root, meet root), one entry for the whole process, replaced whole
+_MEET: tuple[_Node, _Node, _Node] | None = None
 
 
 def _xor_1d(a: _Node, b: _Node) -> _Node:
@@ -336,6 +349,62 @@ def _cut(node: _Node, end: int) -> tuple[_Node, _Node]:
     """A node above dimension 1 split after its first key past end."""
     i = bisect_right(node, end, key=itemgetter(0)) + 1
     return node[:i], node[i:]
+
+
+def _box_spans(node: _Node, dim: int) -> list[tuple[int, int]] | None:
+    """The per-axis [lo, hi) spans of a node that is one box, else None.  A
+    canonical node of two toggles has equal children (their xor is empty),
+    so it is a box when every level down its first child has two entries."""
+    spans = []
+    while dim > 1:
+        if len(node) != 2:
+            return None
+        (lo, node), (hi, _) = node
+        spans.append((lo, hi))
+        dim -= 1
+    if len(node) != 2:
+        return None
+    spans.append(node)
+    return spans[::-1]
+
+
+def _box_meet(a: _Node, b: _Node, dim: int) -> _Node | None:
+    """A & B by a clip when either operand is one box, else None."""
+    for node, box in ((a, b), (b, a)):
+        spans = _box_spans(box, dim)
+        if spans:
+            return _clip(node, dim, spans)
+    return None
+
+
+def _clip(node: _Node, dim: int, box: list[tuple[int, int]]) -> _Node:
+    """node & box for the box's per-axis [lo, hi) spans, as a structural pass
+    (intersection with a fixed set is linear over xor).  Each toggle is
+    clipped on its own, and those at or below lo fold into one toggle at lo.
+    Where keys lie past hi, the slice left open there is the xor of the kept
+    clipped toggles (a bounded set's toggles xor to nothing), and a toggle
+    at hi closes it; toggles past hi are never read."""
+    lo, hi = box[dim - 1]
+    if dim == 1:
+        i = bisect_right(node, lo)
+        j = bisect_left(node, hi, i)
+        return (lo,) * (i & 1) + node[i:j] + (hi,) * (j & 1)
+    d1 = dim - 1
+    key = itemgetter(0)
+    i = bisect_right(node, lo, key=key)
+    j = bisect_left(node, hi, i, key=key)
+    merge = partial(_xor_nodes, dim=d1)
+    fold = reduce(merge, [_clip(child, d1, box) for _, child in node[:i]], ())
+    out = [(lo, fold)] if fold else []
+    for k, child in node[i:j]:
+        child = _clip(child, d1, box)
+        if child:
+            out.append((k, child))
+    if j < len(node):
+        close = reduce(merge, [c for _, c in out], ())
+        if close:
+            out.append((hi, close))
+    return tuple(out)
 
 
 def _union_all(nodes: list[_Node], dim: int) -> _Node:
@@ -630,7 +699,9 @@ class BBoxSet:
     share between threads.  Binary operations require compatible operands:
     same dimension, same stride, and same sub-lattice anchor (the anchor of
     an empty set is a wildcard).  The runs table is assigned once, fully
-    built, so a thread sees either none or all of it.
+    built, so a thread sees either none or all of it.  The remembered
+    intersection (_MEET) is replaced whole, so a thread reads the old entry
+    or the new one, and a hit needs both operands' very roots.
     """
 
     dim: int
@@ -705,13 +776,30 @@ class BBoxSet:
     # -- set algebra -------------------------------------------------------
 
     def apply(self, op: str, other: "BBoxSet") -> "BBoxSet":
-        """Binary set operation evaluated by the dimensional-recursion sweep
-        (xor by the structural merge)."""
+        """Binary set operation.  Union runs the sweep; intersection and
+        difference share the pair's intersection M, as A - B is A ^ M by the
+        structural merge (as xor itself).  M is a clip where either operand
+        is one box; otherwise the last pair's M is remembered, in either
+        operand order."""
+        global _MEET
         check_op(op)
         if op == XOR:
             return self.symmetric_difference(other)
         off = check_operands(self, other)
-        return _wrap(self.dim, self.stride, off, _apply_trees(op, self.root, other.root, self.dim))
+        a, b, dim = self.root, other.root, self.dim
+        if op == UNION:
+            return _wrap(dim, self.stride, off, _apply_trees(UNION, a, b, dim))
+        meet = _box_meet(a, b, dim)
+        if meet is None:
+            last = _MEET
+            if last is not None and (last[0] is a and last[1] is b or last[0] is b and last[1] is a):
+                meet = last[2]
+            else:
+                meet = _apply_trees(INTERSECTION, a, b, dim)
+                _MEET = (a, b, meet)
+        if op == DIFFERENCE:
+            meet = _xor_nodes(a, meet, dim)
+        return _wrap(dim, self.stride, off, meet)
 
     def union(self, other: "BBoxSet") -> "BBoxSet":
         return self.apply(UNION, other)

@@ -28,6 +28,7 @@ DEFAULT_SEED = 20130715
 
 def cmd_setops_check(args) -> int:
     total = 0
+    t0 = time.perf_counter()
     for dim in (range(1, args.dims + 1) if args.all_dims else [args.dims]):
         for k in range(args.cases):
             seed = args.seed + k
@@ -38,7 +39,9 @@ def cmd_setops_check(args) -> int:
                       f"--seed {seed} --cases 1 --boxes {args.boxes} --extent {args.extent}")
                 return 1
             total += 1
+    wall = time.perf_counter() - t0
     print(f"setops-check: {total} randomized cases agree with the oracle")
+    print(f"setops-check: {wall:.3f} s wall, {total / wall:.1f} cases/s")
     return 0
 
 

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import pickle
 import random
 import sys
 import threading
@@ -116,25 +118,13 @@ class TestFromBoxes:
     def test_staggered_slabs_no_slower_than_pairwise_route(self):
         """Unguarded, the sweep would rebuild about 1,600 slices of up to 800
         slabs each, 5x the pairwise route's time; guarded, it runs that route
-        after one pass over the bounds.  Best of 5 runs each, in alternating
-        order and with the cyclic collector off, as timeit runs.  Past the
-        guard both run the same unions, so the only allowance is for noise: the
-        25% the benchmark allows an end-to-end metric."""
+        after one pass over the bounds.  Past the guard both run the same
+        unions, so the only allowance is for noise: the 25% the benchmark
+        allows an end-to-end metric (see _no_slower; a sample is 4 calls, as
+        one takes some 20-40 ms and a single call's jitter reached 1.25x)."""
         boxes = staggered_slabs(800)
-        times = {"sweep": [], "route": []}
-        build = {"sweep": lambda: BBoxSet.from_bboxes(boxes).root, "route": lambda: union_route(boxes, 3)}
-        trees = {}
-        gc.disable()
-        try:
-            for k in range(5):
-                for name in ("sweep", "route")[::1 if k % 2 else -1]:
-                    t0 = time.perf_counter()
-                    trees[name] = build[name]()
-                    times[name].append(time.perf_counter() - t0)
-        finally:
-            gc.enable()
-        assert trees["sweep"] == trees["route"]
-        assert min(times["sweep"]) <= 1.25 * min(times["route"]), times
+        _no_slower(lambda: [BBoxSet.from_bboxes(boxes).root for _ in range(4)],
+                   lambda: [union_route(boxes, 3) for _ in range(4)])
 
     def test_mixed_stride_rejected(self):
         with pytest.raises(UsageError):
@@ -266,10 +256,11 @@ class TestDeltaSweep:
 
     def test_operand_past_the_other_end_stays_unconverted(self, rng):
         """A pass converts an operand only up to where the other one ends:
-        against one box below all of a 300-box set, no op in either order
-        peaks near the 50-230 KiB that converting the large set takes.  One
-        box inside or above the set checks the trees where the pass does
-        convert the large set in part or in full."""
+        against two small boxes below all of a 300-box set, no op in either
+        order peaks near the 50-230 KiB that converting the large set takes.
+        The pair inside or above the set checks the trees where the pass does
+        convert the large set in part or in full.  Two boxes, as one box
+        takes the clip instead of the pass."""
         unit = Stride((1, 1, 1))
         boxes = []
         for _ in range(300):
@@ -277,7 +268,8 @@ class TestDeltaSweep:
             boxes.append(BBox(Point(lo), Point(tuple(c + rng.randrange(1, 6) for c in lo)), unit))
         big = BBoxSet.from_bboxes(boxes)
         for z, bounded in ((-10, True), (40, False), (110, False)):
-            box = BBoxSet.from_bboxes([BBox(Point((3, 3, z)), Point((6, 6, z + 5)), unit)])
+            box = BBoxSet.from_bboxes([BBox(Point((3, 3, z)), Point((6, 6, z + 5)), unit),
+                                       BBox(Point((10, 10, z)), Point((12, 12, z + 2)), unit)])
             for op in ("union", "intersection", "difference"):
                 for r, s in ((big, box), (box, big)):
                     tracemalloc.start()
@@ -288,6 +280,239 @@ class TestDeltaSweep:
                         tracemalloc.stop()
                     assert got.root == reference_apply(op, r.root, s.root, 3), (z, op)
                     assert peak < 16 * 1024 or not bounded, (z, op, peak)
+
+
+_OPS = ("union", "intersection", "difference")
+
+
+def _fresh(r):
+    """A new set over an equal tree of new tuples, which no remembered meet
+    is keyed by."""
+    return BBoxSet(r.dim, r.stride, r.offset, pickle.loads(pickle.dumps(r.root)))
+
+
+def _lattice_box(anchor, steps, lo, up):
+    """The box from lattice indices lo..up (inclusive) on the anchor's sub-lattice."""
+    at = lambda idx: Point(tuple(a + s * i for a, s, i in zip(anchor, steps, idx)))
+    return BBox(at(lo), at(up), Stride(steps))
+
+
+def _box_operands(rng, boxes, steps, anchor):
+    """Boxes against the set of the given boxes, named by case: containing
+    it, inside it, cutting it, disjoint from it, with a bound on one of its
+    own keys at lo or at hi, and a single point, all on its sub-lattice."""
+    dim = len(steps)
+    if boxes:
+        lows = [min((b.lower.coords[a] - anchor[a]) // steps[a] for b in boxes) for a in range(dim)]
+        ups = [max((b.upper.coords[a] - anchor[a]) // steps[a] for b in boxes) for a in range(dim)]
+    else:
+        lows, ups = [0] * dim, [3] * dim
+    keys = [sorted({(c - anchor[a]) // steps[a] for b in boxes for c in (b.lower.coords[a], b.upper.coords[a] + steps[a])}
+                   or {0, 4}) for a in range(dim)]
+    inner = [sorted((rng.randint(lo, up), rng.randint(lo, up))) for lo, up in zip(lows, ups)]
+    cut = [(rng.randint(lo, up), up + rng.randint(1, 3)) for lo, up in zip(lows, ups)]
+    if rng.random() < 0.5:
+        cut = [(lo - rng.randint(1, 3), rng.randint(lo, up)) for lo, up in zip(lows, ups)]
+    far = rng.randrange(dim)
+    key_lo = [(rng.choice(k), rng.choice(k) + rng.randint(0, 3)) for k in keys]
+    key_hi = [(rng.choice(k) - rng.randint(1, 4), rng.choice(k) - 1) for k in keys]
+    point = [rng.choice(k) for k in keys]
+    cases = {
+        "containing": ([lo - rng.randint(0, 2) for lo in lows], [up + rng.randint(0, 2) for up in ups]),
+        "inside": ([lo for lo, _ in inner], [up for _, up in inner]),
+        "cutting": ([lo for lo, _ in cut], [up for _, up in cut]),
+        "disjoint": ([up + 2 if a == far else lo for a, (lo, up) in enumerate(zip(lows, ups))],
+                     [up + 5 if a == far else up for a, up in enumerate(ups)]),
+        "key at lo": ([lo for lo, _ in key_lo], [max(lo, up) for lo, up in key_lo]),
+        "key at hi": ([min(lo, up) for lo, up in key_hi], [up for _, up in key_hi]),
+        "point": (point, point),
+    }
+    return {name: _lattice_box(anchor, steps, lo, up) for name, (lo, up) in cases.items()}
+
+
+class TestMeet:
+    """Intersection and difference sweep an operand pair at most once, for
+    its intersection M, as A - B is A ^ M; the last pair's M is remembered,
+    keyed by both roots.  A box operand is clipped structurally instead,
+    and its M is never kept.  Union runs its own sweep."""
+
+    @staticmethod
+    def _pair(rng, dim=None):
+        dim = dim or rng.randint(1, 4)
+        steps = tuple(rng.randint(1, 3) for _ in range(dim))
+        anchor = tuple(rng.randrange(s) - s * rng.randint(0, 3) for s in steps)
+        boxes = [_random_boxes(rng, steps, anchor, rng.randint(0, 5)) for _ in range(2)]
+        sets = [BBoxSet.from_bboxes(b, dim=dim, stride=Stride(steps)) for b in boxes]
+        points = [PointSet.from_bboxes(b, dim=dim, stride=Stride(steps)) for b in boxes]
+        return dim, anchor, sets, points
+
+    def test_every_call_order_gives_the_reference_tree(self, rng):
+        """Union, intersection, difference and the reverse difference, in
+        each of their 24 orders on one pair of objects and then once more on
+        the same objects (every & and - a hit), on random pairs in 1-4 dims
+        with strides 1-3 and negative anchors, where one in four pairs is a
+        set with itself: each tree is the reference sweep's and the
+        oracle's, and canonical."""
+        calls = [(op, False) for op in _OPS] + [("difference", True)]
+        for k in range(60):
+            dim, _, (r, s), (a, b) = self._pair(rng)
+            if k % 4 == 0:
+                s, b = r, a
+            want = {(op, rev): reference_apply(op, *((s.root, r.root) if rev else (r.root, s.root)), dim)
+                    for op, rev in calls}
+            for (op, rev), tree in want.items():
+                assert oracle_from_bboxset(BBoxSet(dim, r.stride, r.offset, tree)).points == \
+                    (b.op(op, a) if rev else a.op(op, b)).points
+                assert_canonical(tree, dim)
+            for order in itertools.permutations(calls):
+                x = _fresh(r)
+                y = x if s is r else _fresh(s)
+                for _ in range(2):
+                    for op, rev in order:
+                        got = (y.apply(op, x) if rev else x.apply(op, y)).root
+                        assert got == want[op, rev], (k, order, op, rev)
+
+    def test_one_set_against_several_partners(self, rng):
+        """One set met in turn with three partners, in any order, never
+        answers with the meet of another partner: the entry is looked up by
+        both operands' trees, in either order."""
+        for k in range(60):
+            dim, anchor, (r, s), _ = self._pair(rng)
+            t = _random_set(rng, dim, r.stride.steps, anchor)
+            u = s | t
+            partners = [s, t, u]
+            want = {(id(p), op): reference_apply(op, r.root, p.root, dim) for p in partners for op in _OPS}
+            for _ in range(12):
+                p = rng.choice(partners)
+                op = rng.choice(_OPS)
+                got = r.apply(op, p) if rng.random() < 0.5 or op == "difference" else p.apply(op, r)
+                assert got.root == want[id(p), op], (k, op)
+
+    def test_box_operands_match_the_reference(self, rng):
+        """A box on either side: containing the set, inside, cutting,
+        disjoint, bounded on one of the set's own keys at lo or at hi, a
+        single point, and the empty set, on strides 1-3 and negative anchors;
+        also a set that is one box itself, and complement_within.  Every tree
+        is the reference sweep's and the oracle's, is canonical, and no meet
+        with a box is remembered."""
+        for k in range(150):
+            dim = rng.randint(1, 4)
+            steps = tuple(rng.randint(1, 3) for _ in range(dim))
+            anchor = tuple(rng.randrange(s) - s * rng.randint(0, 3) for s in steps)
+            boxes = _random_boxes(rng, steps, anchor, 1 if k % 5 == 0 else rng.randint(0, 5))
+            r = BBoxSet.from_bboxes(boxes, dim=dim, stride=Stride(steps))
+            a = PointSet.from_bboxes(boxes, dim=dim, stride=Stride(steps))
+            cases = _box_operands(rng, boxes, steps, anchor)
+            for name, box in [*cases.items(), ("empty", None)]:
+                q = BBoxSet.from_bboxes([box] if box else [], dim=dim, stride=Stride(steps))
+                b = PointSet.from_bboxes([box] if box else [], dim=dim, stride=Stride(steps))
+                for op in _OPS:
+                    for x, y, px, py in ((r, q, a, b), (q, r, b, a)):
+                        x, y = _fresh(x), _fresh(y)
+                        last = bboxset._MEET
+                        got = x.apply(op, y)
+                        assert got.root == reference_apply(op, x.root, y.root, dim), (k, name, op)
+                        assert oracle_from_bboxset(got).points == px.op(op, py).points
+                        assert_canonical(got.root, dim)
+                        if box:
+                            assert bboxset._MEET is last, (k, name, op)
+                if box:
+                    got = r.complement_within(box)
+                    assert got.root == reference_apply("difference", q.root, r.root, dim), (k, name)
+                    assert oracle_from_bboxset(got).points == b.op("difference", a).points
+
+    def test_remembered_meet_is_bounded(self, rng):
+        """A long-lived set met with 200 fresh sets leaves one entry, the last
+        pair's: past the first few, traced memory does not grow (a table of
+        every partner would keep some 200 x 2 KiB here).  Memory is read
+        every 20 sets after a full collection, which also empties the free
+        lists."""
+        unit = Stride.ones(3)
+        boxes = _random_boxes(rng, (1, 1, 1), (0, 0, 0), 12)
+        keep = BBoxSet.from_bboxes(_random_boxes(rng, (1, 1, 1), (0, 0, 0), 12))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = []
+            for k in range(200):
+                fresh = BBoxSet.from_bboxes(boxes, stride=unit)
+                keep & fresh
+                keep - fresh
+                del fresh
+                if k % 20 == 4:
+                    gc.collect()
+                    held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert bboxset._MEET[0] is keep.root
+        assert max(held) - held[0] <= 1024, held
+
+    def test_meets_of_many_sets_are_bounded_in_all(self, rng):
+        """Thirty long-lived small sets, each met with a large set of its own
+        that is then dropped, leave at most one large tree and one meet
+        alive in all: traced memory grows by under twice the largest of those
+        trees, where an entry kept on each set would keep all thirty."""
+        unit = Stride.ones(3)
+        small = [BBoxSet.from_bboxes([BBox(Point((k,) * 3), Point((k + 9,) * 3), unit),
+                                      BBox(Point((k + 20,) * 3), Point((k + 29,) * 3), unit)]) for k in range(30)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sizes = []
+            for s in small:
+                boxes = []
+                for _ in range(300):
+                    lo = tuple(rng.randrange(100) for _ in range(3))
+                    boxes.append(BBox(Point(lo), Point(tuple(c + rng.randrange(1, 6) for c in lo)), unit))
+                before = tracemalloc.get_traced_memory()[0]
+                big = BBoxSet.from_bboxes(boxes, stride=unit)
+                sizes.append(tracemalloc.get_traced_memory()[0] - before)
+                s & big
+                s - big
+                del big, boxes
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 * max(sizes), (held, sizes)
+
+    def test_threads_share_a_pair(self, rng):
+        """Two threads apply every op to one shared pair, in opposite operand
+        and op orders, 200 times each, and between rounds meet their own
+        first operand with a third set, so the entry is replaced over and
+        over while the other thread reads it; with a short switch interval
+        every tree is the single-thread one."""
+        dim, anchor, (r, s), _ = self._pair(rng, 3)
+        extra = [_random_set(rng, 3, r.stride.steps, anchor) for _ in range(2)]
+        want = {(op, rev): reference_apply(op, *((s.root, r.root) if rev else (r.root, s.root)), dim)
+                for op in _OPS for rev in (False, True)}
+        errors = []
+
+        def work(x, y, rev, other):
+            try:
+                order = [(op, rev) for op in _OPS]
+                for _ in range(200):
+                    for op, rev_ in (order if not rev else order[::-1]):
+                        if x.apply(op, y).root != want[op, rev_]:
+                            errors.append((op, rev_))
+                    x & other
+            except Exception as exc:  # a thread's failure must reach the assert
+                errors.append(repr(exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(r, s, False, extra[0])),
+                       threading.Thread(target=work, args=(s, r, True, extra[1]))]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
 
 
 class TestSymmetricDifference:
@@ -458,25 +683,33 @@ def _route(monkeypatch, planes, call):
         return call()
 
 
-def _no_slower_than_rows(monkeypatch, call, reps):
-    """call() builds the row route's tree and, best of 5 samples of reps
-    calls in alternating order with the cyclic collector off (as the
-    staggered-slab test times), takes at most 1.25x the row route forced."""
-    want = _route(monkeypatch, False, call)
-    sample = {"guarded": lambda: [call() for _ in range(reps)],
-              "rows": lambda: _route(monkeypatch, False, lambda: [call() for _ in range(reps)])}
-    times = {"guarded": [], "rows": []}
+def _no_slower(call, route):
+    """call() and route() each take one sample (a list of trees built by
+    several calls) and return the same trees; best of 5 samples in
+    alternating order with the cyclic collector off, as timeit runs, call()
+    takes at most 1.25x route()."""
+    want = route()
+    sample = {"call": call, "route": route}
+    times = {"call": [], "route": []}
     gc.disable()
     try:
         for k in range(5):
-            for side in ("guarded", "rows")[::1 if k % 2 else -1]:
+            for side in ("call", "route")[::1 if k % 2 else -1]:
                 t0 = time.perf_counter()
                 trees = sample[side]()
                 times[side].append(time.perf_counter() - t0)
-                assert trees == [want] * reps, side
+                assert trees == want, side
     finally:
         gc.enable()
-    assert min(times["guarded"]) <= 1.25 * min(times["rows"]), times
+    assert min(times["call"]) <= 1.25 * min(times["route"]), times
+
+
+def _no_slower_than_rows(monkeypatch, call, reps):
+    """reps calls of call() with the guard choosing its route against reps
+    calls with the row route forced, patched once per sample (see
+    _no_slower)."""
+    calls = lambda: [call() for _ in range(reps)]
+    _no_slower(calls, lambda: _route(monkeypatch, False, calls))
 
 
 class TestPlanes:
@@ -838,8 +1071,6 @@ class TestRunsTable:
 
 
 def _hull_points(dim, extent):
-    import itertools
-
     return itertools.product(range(-1, extent), repeat=dim)
 
 

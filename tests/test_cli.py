@@ -41,6 +41,18 @@ class TestSetopsCheck:
         assert main(["setops-check", "--cases", "30", "--dims", "2", "--extent", "12"]) == 0
         assert "30 randomized cases agree" in capsys.readouterr().out
 
+    def test_prints_wall_time_and_rate(self, capsys):
+        """The end-to-end measure: the run's wall time and its cases per
+        second, on a line of their own after the agreement line."""
+        assert main(["setops-check", "--cases", "12", "--dims", "2", "--extent", "8"]) == 0
+        agree, timing = capsys.readouterr().out.splitlines()[-2:]
+        assert agree == "setops-check: 12 randomized cases agree with the oracle"
+        m = re.fullmatch(r"setops-check: (\d+\.\d{3}) s wall, (\d+\.\d) cases/s", timing)
+        assert m, timing
+        wall, rate = float(m[1]), float(m[2])
+        # both figures are rounded as printed: wall to 0.5 ms, the rate to 0.05
+        assert 0 < 12 / (wall + 5e-4) - 0.05 <= rate <= 12 / (wall - 5e-4) + 0.05, timing
+
     def test_all_dims(self, capsys):
         assert main(["setops-check", "--all-dims", "--dims", "3",
                      "--cases", "10", "--extent", "10", "--boxes", "6"]) == 0
