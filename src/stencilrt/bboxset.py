@@ -38,20 +38,17 @@ list) converts its operands' dimension-1 tuples once on entry into Python
 int bitsets, and its result once back on exit.  Bit i of a bitset stands
 for the interval from the pass's i-th to its (i+1)-th distinct dimension-1
 key, so a bitset has as many bits as the pass has keys, whatever their span
-(a bit per coordinate from the least key took 37 ms for one union of two
-2-D sets of two boxes 10^7 apart, against 18 us).  Inside the pass a
+(a bit per coordinate from the least key would make a union of two small
+sets far apart cost in proportion to their distance).  Inside the pass a
 running slice is run ^ d and a change is d & run or d & ~run, word-parallel
 where the tuples were merged key by key (as Roaring bitmaps do for dense
 ranges; Chambi et al., Softw. Pract. Exper. 2016).  Past the last key of
 the operand that ends first, a union, intersection or difference only
 appends the other's toggles, so those stay tuples and are not converted.
 Expand maps its input's keys to the grown keys k - lo*s and k + hi*s and
-dilates each slice run by run.  On ``amr-regrid`` steps (untraced, seed
-1001, medians of 10 steps on a 2-core machine) expand fell from 24.3 to
-12.5-13.0 ms on bitsets.  On a later, faster 2-core machine (best of 7,
-medians over 8 steps), one intersection and two merges took a step's two
-differences from 4.2 to 2.6 ms, and the clip to the domain, where a pass's
-conversions outweigh its sweep, fell from 0.90 ms on the sweep to 0.26 ms.
+dilates each slice run by run.  A box operand is clipped, not swept, since
+against a box a pass's conversions outweigh its sweep.  CHANGES.md and the
+BENCH_*.json files hold the timings behind these choices.
 
 ``from_bboxes`` builds its tree in one event sweep over the boxes' bounds
 along the last axis: at each bound the slice is the union of the active
@@ -70,11 +67,10 @@ canonical node.  The 3-D sweep of ``from_bboxes`` ORs the active boxes'
 rectangles; ``expand`` paints each row run's dilated bitset across its
 grown rows.  A plane has len(ys) * len(xs) bits whatever the set holds, and
 each corner is read out in Python, so _plane_fits weighs the plane bits
-against the row route's work and keeps sparse, wide inputs on rows (600
-one-point boxes on a diagonal took 0.9 s in ``from_bboxes`` and 250 MiB in
-``expand`` on planes, against 2.5 and 24 ms on rows), as well as boxes that
-each stay active at one bound only.  Union, intersection and difference
-stay on rows.
+against the row route's work and keeps sparse, wide inputs on rows (such
+as one-point boxes on a diagonal, whose planes hold far more bits than
+their rows hold keys), as well as boxes that each stay active at one bound
+only.  Union, intersection and difference stay on rows.
 
 Queries read a runs table that each set builds once, on first use, and keeps
 for its lifetime: for every node, the sorted run starts, the run stops and the

@@ -36,23 +36,16 @@ class SyntheticSurface:
     decoy_depth: float = 1.18         # local optimum at 1.18x the global minimum
 
     def cost(self, p: ExecParams) -> float:
-        bowl = sum(
-            (math.log2(t) - math.log2(o)) ** 2
-            for t, o in zip(p.tile_size, self.opt_tile)
-        )
-        main = 1.0 + self.bowl_weight * bowl
-        if p.coarse_split != self.opt_coarse:
-            main += self.split_penalty
+        split = self.split_penalty if p.coarse_split != self.opt_coarse else 0.0
+        main = 1.0 + self.bowl_weight * _bowl(p, self.opt_tile) + split
         if math.prod(p.tile_size) > self.cliff_volume:
             main *= self.cliff_penalty
-        decoy_bowl = sum(
-            (math.log2(t) - math.log2(o)) ** 2
-            for t, o in zip(p.tile_size, self.decoy_tile)
-        )
-        decoy = self.decoy_depth + 0.8 * decoy_bowl
-        if p.coarse_split != self.opt_coarse:
-            decoy += self.split_penalty
-        return min(main, decoy)
+        return min(main, self.decoy_depth + 0.8 * _bowl(p, self.decoy_tile) + split)
+
+
+def _bowl(p: ExecParams, center: tuple[int, ...]) -> float:
+    """Squared log2 distance of p's tiles from center's."""
+    return sum((math.log2(t) - math.log2(o)) ** 2 for t, o in zip(p.tile_size, center))
 
 
 @dataclass

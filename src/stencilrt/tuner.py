@@ -7,9 +7,10 @@ wall-clock measurements, and walks the one space enumerate_valid_params lists:
 
 * hill climbing: measure the neighbors of the best known setting one at a
   time, recentering whenever one improves on the best median;
-* random restart: at a local optimum, jump to a uniformly random valid
-  setting with a small probability, explore its neighborhood, and keep it
-  only if it beats the best;
+* random restart: at a local optimum, with a small probability, measure one
+  uniformly random valid setting, then its neighbors one at a time; this
+  excursion ends at the first sample that beats the best (the climb recenters
+  there), at the first excursion abort, or when the neighbors run out;
 * excursion abort: any single sample worse than abort_factor x best causes
   an immediate return to the best setting, since bad parameter settings can
   be an order of magnitude slower and must never be dwelt on.
@@ -19,9 +20,8 @@ vectors (extents, tiles, splits) are ordered innermost dimension first.
 Each LoopSetup and ExecParams hashes itself, and each ExecParams formats flat(), at most once.
 Each setup's space (tile and split domains, split moves, start point) is
 built once per cache and lane layout and kept in a bounded memo shared by
-every Tuner, so a fresh Tuner per seed rebuilds none of it.  An evaluation
-(next_params + record_timing) of a 64^3 setup on 4 coarse threads takes
-4.8 us at the median and 9.3 us on average (2-core x86 machine).
+every Tuner, so a fresh Tuner per seed rebuilds none of it.  The BENCH_*.json
+files record what an evaluation (next_params + record_timing) costs.
 """
 from __future__ import annotations
 
@@ -220,13 +220,9 @@ def check_params(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> None:
 
 def _factorizations(n: int, d: int) -> list[tuple[int, ...]]:
     """All d-tuples of positive integers with product n, lexicographic."""
-    if d == 1:
-        return [(n,)]
-    out = []
-    for first in range(1, n + 1):
-        if n % first == 0:
-            out.extend((first,) + rest for rest in _factorizations(n // first, d - 1))
-    return out
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    return [head + (n // math.prod(head),)
+            for head in itertools.product(divisors, repeat=d - 1) if n % math.prod(head) == 0]
 
 
 def _tile_domain(setup: LoopSetup, topo: TopologyConfig, axis: int) -> list[int]:
@@ -281,6 +277,15 @@ class _Space:
             moves = [self._splits.setdefault(m, m) for m in _split_moves(split, self._setup)]
             self._moves[split] = moves
         return moves
+
+    def places(self, p: ExecParams, topo: TopologyConfig) -> list[int]:
+        """check_params, then each tile's index in its axis's domain: raises
+        unless p lies in the space."""
+        check_params(p, self._setup, topo)
+        try:
+            return [index[t] for t, index in zip(p.tile_size, self.tile_index)]
+        except KeyError as exc:
+            raise UsageError(f"tile {exc.args[0]} of {p.tile_size} is off the tuner's domains {self.tiles}") from None
 
 
 def _space(setup: LoopSetup, topo: TopologyConfig) -> _Space:
@@ -391,17 +396,13 @@ def neighbors(p: ExecParams, setup: LoopSetup, topo: TopologyConfig) -> list[Exe
     factor of a thread split moves between two dimensions or swaps with a
     larger prime of another.
 
-    Only p is checked, and each of its tiles must lie in its domain; every
-    move of such a setting whose splits lie in _split_domain stays in the space.
+    Only p is checked (_Space.places); every move of a setting that passes
+    whose splits lie in _split_domain stays in the space.
     """
-    check_params(p, setup, topo)
     space = _space(setup, topo)
     coarse, tile, fine, width = p.coarse_split, p.tile_size, p.fine_split, p.vector_width
     out: list[ExecParams] = []
-    for i, (t, domain, index) in enumerate(zip(tile, space.tiles, space.tile_index)):
-        k = index.get(t)
-        if k is None:
-            raise UsageError(f"tile size {t} in dim {i} is not in the tuner's domain {domain}")
+    for i, (k, domain) in enumerate(zip(space.places(p, topo), space.tiles)):
         for v in domain[k + 1:k + 2] + domain[max(0, k - 1):k]:
             out.append(ExecParams(coarse, _set(tile, i, v), fine, width))
     out.extend([ExecParams(m, tile, fine, width) for m in space.moves(coarse)])
@@ -448,7 +449,6 @@ _EXCURSION = "excursion"
 @dataclass
 class _SetupState:
     rng: random.Random
-    start: ExecParams
     phase: str = _INITIAL
     center: ExecParams | None = None
     pending: list[ExecParams] = field(default_factory=list)
@@ -472,14 +472,6 @@ class Tuner:
         self._states: dict[LoopSetup, _SetupState] = {}
         self.log: list[dict] = []
 
-    def _state(self, setup: LoopSetup) -> _SetupState:
-        st = self._states.get(setup)
-        if st is None:
-            rng = random.Random(f"{self.topo.rng_seed}:{setup.site_id}:{setup.extents}")
-            st = _SetupState(rng=rng, start=params_initial(setup, self.topo))
-            self._states[setup] = st
-        return st
-
     def _known(self, setup: LoopSetup, caller: str) -> _SetupState:
         """The setup's state; a setup next_params never saw has none."""
         st = self._states.get(setup)
@@ -489,43 +481,31 @@ class Tuner:
 
     def next_params(self, setup: LoopSetup) -> ExecParams:
         """Advance the state machine and return the setting to execute next."""
-        st = self._state(setup)
-        if st.best_params is None:
-            return st.start  # warm-up and first measured sample of the heuristic
-
-        if st.phase == _EXCURSION and self._abort(st, st.last_elapsed):
+        st = self._states.get(setup)
+        if st is None:
+            rng = random.Random(f"{self.topo.rng_seed}:{setup.site_id}:{setup.extents}")
+            st = self._states[setup] = _SetupState(rng)
+        best = st.best_params
+        if best is None:
+            return params_initial(setup, self.topo)  # warm-up and first measured sample
+        if st.phase == _EXCURSION and self.should_abort_excursion(setup, st.last_elapsed):
             st.pending.clear()
-            return self._settle(st)
-
-        if st.center != st.best_params:
-            # new best found: recenter the climb on it
-            st.phase = _CLIMBING
-            st.center = st.best_params
-            st.pending = neighbors(st.best_params, setup, self.topo)
-            st.rng.shuffle(st.pending)
-
+        elif st.center != best:
+            self._explore(st, setup, best, _CLIMBING)  # new best: recenter the climb on it
         if st.pending:
             return st.pending.pop()
-
-        if st.phase == _EXCURSION:
-            # neighborhood of the random point fully explored, nothing beat best
-            return self._settle(st)
-
-        # local optimum: occasionally jump somewhere random
-        if st.rng.random() < self.topo.p_restart:
+        if st.phase != _EXCURSION and st.rng.random() < self.topo.p_restart:
             cand = random_params(setup, self.topo, st.rng)
-            st.phase = _EXCURSION
-            st.center = cand
-            st.pending = neighbors(cand, setup, self.topo)
-            st.rng.shuffle(st.pending)
+            self._explore(st, setup, cand, _EXCURSION)
             return cand
+        st.phase, st.center = _CLIMBING, best
+        return best
 
-        return st.best_params
-
-    def _settle(self, st: _SetupState) -> ExecParams:
-        st.phase = _CLIMBING
-        st.center = st.best_params
-        return st.best_params
+    def _explore(self, st: _SetupState, setup: LoopSetup, center: ExecParams, phase: str) -> None:
+        """Center the state on a setting, with its neighbors queued in a seeded random order."""
+        st.phase, st.center = phase, center
+        st.pending = neighbors(center, setup, self.topo)
+        st.rng.shuffle(st.pending)
 
     def record_timing(self, setup: LoopSetup, params: ExecParams, elapsed: float) -> None:
         """Fold one wall-clock measurement into the per-setting medians."""
@@ -543,19 +523,19 @@ class Tuner:
         window.append(elapsed)
         med = _median(window)
         if med < st.best_time:
-            st.best_time = med
-            st.best_params = params
+            try:  # a best outside the space would make every next_params raise
+                _space(setup, self.topo).places(params, self.topo)
+            except UsageError:
+                del st.samples[params]
+                raise
+            st.best_time, st.best_params = med, params
         st.last_elapsed = elapsed
         self._log_row(setup, st, params, elapsed, warmup=False)
 
     def should_abort_excursion(self, setup: LoopSetup, latest: float | None) -> bool:
         """True when the latest single sample is bad enough to flee from."""
-        return self._abort(self._known(setup, "should_abort_excursion"), latest)
-
-    def _abort(self, st: _SetupState, latest: float | None) -> bool:
-        if latest is None or st.best_time == math.inf:
-            return False
-        return latest > self.topo.abort_factor * st.best_time
+        st = self._known(setup, "should_abort_excursion")
+        return latest is not None and latest > self.topo.abort_factor * st.best_time
 
     def best(self, setup: LoopSetup) -> tuple[ExecParams | None, float]:
         st = self._known(setup, "best")

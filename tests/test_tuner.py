@@ -346,7 +346,8 @@ def test_neighbors_match_checked_reference():
             p = rng.choice(ref)
 
 
-@pytest.mark.parametrize("bad", [
+# settings outside SETUP3D's space under TOPO4
+INVALID_SETTINGS = [
     ExecParams((1, 2, 2), (8, 8, 8), (1, 1, 1), 8),     # vector width
     ExecParams((1, 2, 1), (8, 8, 8), (1, 1, 1), 4),     # coarse split product
     ExecParams((1, 2, 2), (8, 8, 8), (1, 2, 1), 4),     # fine split product
@@ -358,7 +359,11 @@ def test_neighbors_match_checked_reference():
     ExecParams((2, 2), (8, 8), (1, 1), 4),              # dimension
     ExecParams((-1, -2, 2), (8, 8, 8), (1, 1, 1), 4),   # negative coarse pair, product 4
     ExecParams((1, 2, 2), (8, 8, 8), (-1, -1, 1), 4),   # negative fine pair, product 1
-])
+    ExecParams((1, 1, 1), (3, 3, 3), (1, 1, 1), 4),     # coarse split product 1, tiles off the domain
+]
+
+
+@pytest.mark.parametrize("bad", INVALID_SETTINGS)
 def test_neighbors_reject_invalid_params(bad):
     with pytest.raises(UsageError):
         neighbors(bad, SETUP3D, TOPO4)
@@ -524,6 +529,25 @@ class TestRecordTiming:
         for _ in range(1 + 2 * tuner.MEDIAN_WINDOW):
             t.record_timing(SETUP3D, p, 1.0)
         assert built == [tuner.MEDIAN_WINDOW]
+
+    @pytest.mark.parametrize("bad", INVALID_SETTINGS)
+    def test_best_outside_the_space_rejected(self, bad):
+        """A sample that would make a setting outside the space the best raises,
+        keeps no sample of that setting and leaves the best and the log as
+        they were, so next_params keeps handing out settings of the space."""
+        tuner = Tuner(TOPO4)
+        p = tuner.next_params(SETUP3D)
+        tuner.record_timing(SETUP3D, p, 1.0)  # warm-up
+        tuner.record_timing(SETUP3D, tuner.next_params(SETUP3D), 1.0)
+        log = list(tuner.log)
+        with pytest.raises(UsageError):
+            tuner.record_timing(SETUP3D, bad, 0.1)
+        assert tuner.best(SETUP3D) == (p, 1.0) and tuner.log == log
+        assert bad not in tuner._states[SETUP3D].samples
+        for _ in range(5):
+            q = tuner.next_params(SETUP3D)
+            check_params(q, SETUP3D, TOPO4)
+            tuner.record_timing(SETUP3D, q, 2.0)
 
     def test_record_before_next_rejected(self):
         tuner = Tuner(TOPO4)
@@ -711,6 +735,44 @@ class TestSimulation:
         sampled = [r.sampled for r in run_simulation(100, 50, TOPO4).results]
         digest = hashlib.sha256(repr(sampled).encode()).hexdigest()
         assert digest == "57c5610871063b3d67e8a724d0090528adcc4bd219241f836f88e2999c9011de"
+
+
+class NoisySurface:
+    """A cost times seeded log-normal noise, in SyntheticSurface's place."""
+
+    def __init__(self, cost, sigma, seed):
+        self._cost, self.sigma, self.rng = cost, sigma, random.Random(seed)
+
+    def cost(self, p):
+        return self._cost(p) * self.rng.lognormvariate(0.0, self.sigma)
+
+
+def decisions(topo, setup, surface, evals):
+    """Each setting next_params hands out, with the phase it leaves."""
+    t = Tuner(topo)
+    out = []
+    for _ in range(evals):
+        p = t.next_params(setup)
+        out.append((p.flat(), t.phase(setup)))
+        t.record_timing(setup, p, surface.cost(p))
+    return out
+
+
+def test_noisy_decisions_pinned():
+    """Decisions under noise, fixed like test_decisions_pinned, on two surfaces
+    that together reach every branch of next_params: criterion 8's surface
+    with log-normal noise (sigma 0.2) aborts excursions, and a flat cost with
+    sigma 0.1 noise and p_restart 0.5 serves a random setting's neighbors,
+    recenters on random settings and lets excursions run out."""
+    setup = LoopSetup("synthetic", (64, 64, 64), "vector", 4, 1)
+    noisy = [decisions(replace(TOPO4, rng_seed=s), setup, NoisySurface(SyntheticSurface().cost, 0.2, s), 50)
+             for s in range(100)]
+    flat = replace(TOPO4, p_restart=0.5)
+    flat_runs = [decisions(replace(flat, rng_seed=s), setup, NoisySurface(lambda p: 1.0, 0.1, s), 60)
+                 for s in range(20)]
+    digest = lambda runs: hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert digest(noisy) == "0ed7a5174bbd90fbf231acd0b5506ba22846c5e10505329c7d8f54b0cd7bc5b3"
+    assert digest(flat_runs) == "7edbceddfd3816bf2652cd3f78542b4599b458abc6fdc1c77d0c8c88b5518910"
 
 
 def test_csv_log_schema(tmp_path):
